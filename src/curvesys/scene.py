@@ -386,19 +386,30 @@ def _check_structure(scene: Scene) -> None:
 
 
 def _is_connected(scene: Scene) -> bool:
-    halves = scene.half_edges()
-    if not halves:
-        return True
-    seen: Set[int] = set()
-    stack = [halves[0]]
-    while stack:
-        h = stack.pop()
-        if h in seen:
-            continue
-        seen.add(h)
-        stack.append(scene.partner(h))
-        stack.append(scene.ccw_next(h))
-    return len(seen) == len(halves)
+    halves = scene._vertex_slot
+    return not halves or len(_orbit(scene, next(iter(halves)))) == len(halves)
+
+
+def _orbit(scene: Scene, start: int) -> List[int]:
+    """The half-edges of start's graph component, i.e. its orbit under
+    <ccw_next, partner>, in breadth-first order from start."""
+    slot = scene._vertex_slot
+    edge_of_half = scene._edge_of_half
+    seen = {start}
+    out = [start]
+    try:
+        for h in out:
+            v, i = slot[h]
+            a, b = edge_of_half[h].half
+            for x in (v.cycle[(i + 1) % len(v.cycle)], b if a == h else a):
+                if x not in seen:
+                    seen.add(x)
+                    out.append(x)
+    except KeyError as exc:
+        raise DanglingHalfEdge(
+            f"half-edge {exc.args[0]} is not in both a vertex cycle and an edge"
+        ) from None
+    return out
 
 
 # ======================================================================
@@ -876,72 +887,152 @@ def _zero_like(scene: Scene) -> Optional[Marker]:
 
 
 def canonical_form(scene: Scene, match_curves: bool = True):
-    """A hashable canonical encoding, equal for isomorphic scenes.
+    """A hashable canonical encoding, equal exactly for isomorphic scenes.
 
     Each graph component is encoded by a breadth-first relabelling of its
-    half-edges from every possible root; the lexicographically smallest
-    encoding wins, and the component encodings are sorted.  Curve labels are
-    kept literally when ``match_curves`` is true and canonicalized by first
-    visit otherwise.  Markers participate, oriented by the traversal.
+    half-edges from a root; the lexicographically smallest encoding over the
+    candidate roots wins, and the component encodings are sorted.  Curve
+    labels are kept literally when ``match_curves`` is true and canonicalized
+    by first visit otherwise.  Markers participate, oriented by the traversal.
+
+    Three devices keep the search close to linear in practice, and none lets
+    ids leak into the result:
+
+    * Root classes.  Every half-edge gets an isomorphism-invariant class
+      (vertex degree, face length, oriented marker, and the curve id when
+      ``match_curves``); roots come only from the class that is smallest by
+      (size, class).  That choice is itself invariant.
+    * Early abandon.  Each encoding is compared row by row with the best so
+      far while the search builds it, and dropped at the first larger row.
+    * Automorphism pruning.  An encoding equal to the best maps one
+      breadth-first order onto the other, which is an automorphism; its
+      cycles are merged into orbits, and a root whose orbit already holds a
+      tried root is skipped, since it would give the same encoding (McKay and
+      Piperno, "Practical graph isomorphism, II", 2014).
     """
-    halves = scene.half_edges()
     seen: Set[int] = set()
     comps: List[Tuple] = []
-    for h0 in halves:
-        if h0 in seen:
-            continue
-        orbit = _half_orbit(scene, h0)
-        seen.update(orbit)
-        best = None
-        for root in orbit:
-            enc = _encode_from(scene, root, match_curves)
-            if best is None or enc < best:
-                best = enc
-        comps.append(best)
+    for h0 in scene._vertex_slot:
+        if h0 not in seen:
+            orbit = _orbit(scene, h0)
+            seen.update(orbit)
+            comps.append(_component_form(scene, orbit, match_curves))
     return tuple(sorted(comps))
 
 
-def _half_orbit(scene: Scene, start: int) -> List[int]:
-    out: Set[int] = set()
-    stack = [start]
-    while stack:
-        h = stack.pop()
-        if h in out:
-            continue
-        out.add(h)
-        stack.append(scene.partner(h))
-        stack.append(scene.ccw_next(h))
-    return sorted(out)
-
-
-def _encode_from(scene: Scene, root: int, match_curves: bool):
-    order: Dict[int, int] = {root: 0}
-    queue = [root]
-    qi = 0
-    while qi < len(queue):
-        h = queue[qi]
-        qi += 1
-        for nb in (scene.ccw_next(h), scene.partner(h)):
-            if nb not in order:
-                order[nb] = len(order)
-                queue.append(nb)
-    curve_token: Dict[str, str] = {}
-    rows = []
-    for h in queue:
-        e = scene.edge_of(h)
-        if match_curves:
-            tok = e.curve
-        else:
-            if e.curve not in curve_token:
-                curve_token[e.curve] = f"#{len(curve_token)}"
-            tok = curve_token[e.curve]
+def _component_form(scene: Scene, halves: List[int], match_curves: bool) -> Tuple:
+    """Canonical encoding of one graph component given its half-edges."""
+    n = len(halves)
+    index = {h: i for i, h in enumerate(halves)}
+    nxt: List[int] = []  # ccw_next, as positions in ``halves``
+    par: List[int] = []  # partner
+    deg: List[int] = []
+    curve: List[str] = []
+    mark: List[Tuple[int, int, int]] = []  # marker oriented along the half-edge
+    for h in halves:
+        v, i = scene._vertex_slot[h]
+        d = len(v.cycle)
+        nxt.append(index[v.cycle[(i + 1) % d]])
+        deg.append(d)
+        e = scene._edge_of_half[h]
+        forward = e.half[0] == h
+        par.append(index[e.half[1] if forward else e.half[0]])
+        curve.append(e.curve)
         if e.marker is None:
-            mk = (0, 0, 0)
+            mark.append((0, 0, 0))
+        elif forward:
+            mark.append((1, e.marker[0], e.marker[1]))
         else:
-            p, q = e.marker if h == e.half[0] else (-e.marker[0], -e.marker[1])
-            mk = (1, p, q)
-        rows.append((order[scene.ccw_next(h)], order[scene.partner(h)], tok, mk))
-    return tuple(rows)
+            mark.append((1, -e.marker[0], -e.marker[1]))
+
+    face_len = [0] * n
+    for i in range(n):
+        if not face_len[i]:
+            face = [i]
+            j = nxt[par[i]]
+            while j != i:
+                face.append(j)
+                j = nxt[par[j]]
+            for j in face:
+                face_len[j] = len(face)
+
+    classes: Dict[Tuple, List[int]] = {}
+    for i in range(n):
+        key = (deg[i], face_len[i], mark[i]) + ((curve[i],) if match_curves else ())
+        classes.setdefault(key, []).append(i)
+    roots = min(classes.items(), key=lambda kv: (len(kv[1]), kv[0]))[1]
+
+    orbit_of = list(range(n))  # union-find over automorphism orbits
+    tried = [False] * n  # per union-find root: the orbit holds a tried root
+
+    def find(x: int) -> int:
+        while orbit_of[x] != x:
+            orbit_of[x] = orbit_of[orbit_of[x]]
+            x = orbit_of[x]
+        return x
+
+    best: Optional[List[Tuple]] = None
+    best_queue: List[int] = []
+    for root in roots:
+        r = find(root)
+        if tried[r]:
+            continue
+        tried[r] = True
+        found = _encode_rows(root, nxt, par, curve, mark, match_curves, best)
+        if found is None:
+            continue
+        rows, queue, tie = found
+        if not tie:
+            best, best_queue = rows, queue
+            continue
+        for x, y in zip(best_queue, queue):
+            x, y = find(x), find(y)
+            if x != y:
+                orbit_of[y] = x
+                tried[x] = tried[x] or tried[y]
+    return tuple(best)
+
+
+def _encode_rows(
+    root: int,
+    nxt: List[int],
+    par: List[int],
+    curve: List[str],
+    mark: List[Tuple[int, int, int]],
+    match_curves: bool,
+    best: Optional[List[Tuple]],
+):
+    """Breadth-first encoding from ``root``, one row per visited half-edge:
+    (position of ccw_next, position of partner, curve token, oriented marker).
+
+    Returns None as soon as a row makes the encoding larger than ``best``;
+    otherwise (rows, visiting order, whether the rows equal ``best``).
+    """
+    order = [-1] * len(nxt)
+    order[root] = 0
+    queue = [root]
+    rows: List[Tuple] = []
+    token: Dict[str, int] = {}
+    tie = best is not None
+    for h in queue:
+        a = nxt[h]
+        if order[a] < 0:
+            order[a] = len(queue)
+            queue.append(a)
+        b = par[h]
+        if order[b] < 0:
+            order[b] = len(queue)
+            queue.append(b)
+        c = curve[h] if match_curves else token.setdefault(curve[h], len(token))
+        row = (order[a], order[b], c, mark[h])
+        if tie:
+            other = best[len(rows)]
+            if row != other:
+                if row > other:
+                    return None
+                tie = False
+        rows.append(row)
+    return rows, queue, tie
 
 
 def scenes_isomorphic(a: Scene, b: Scene, match_curves: bool = True) -> bool:

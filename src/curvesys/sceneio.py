@@ -51,14 +51,11 @@ def scene_from_dict(data: Dict[str, Any]) -> Scene:
         for e in data["edges"]:
             h1, h2 = e["half"]
             marker = e.get("marker")
-            edges.append(
-                Edge(
-                    int(e["id"]),
-                    (int(h1), int(h2)),
-                    str(e["curve"]),
-                    None if marker is None else (int(marker[0]), int(marker[1])),
-                )
-            )
+            if marker is not None:
+                if len(marker) != 2:
+                    raise ValueError(f"edge marker must have 2 entries, got {marker!r}")
+                marker = (int(marker[0]), int(marker[1]))
+            edges.append(Edge(int(e["id"]), (int(h1), int(h2)), str(e["curve"]), marker))
         curves = [Curve(str(c["id"])) for c in data["curves"]]
         name = str(data.get("name", "scene"))
     except (KeyError, TypeError, ValueError) as exc:

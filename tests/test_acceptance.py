@@ -112,18 +112,16 @@ def test_criterion_8_corpus_round_trips(tmp_path):
     )
     dt_files = sorted(CORPUS.glob("dt/*.json"))
     assert len(scene_files) >= 750 and len(dt_files) == 3
-    deep_every = 75
-    for i, path in enumerate(scene_files):
+    for path in scene_files:
         scene = load_scene(path)
-        out = tmp_path / "copy.json"
+        out = tmp_path / path.name
         save_scene(scene, out)
         back = load_scene(out)
         assert scene_to_dict(back) == scene_to_dict(scene), path.name
-        if i % deep_every == 0 or path.parent.name == "curated":
-            assert scenes_isomorphic(scene, back), path.name
+        assert scenes_isomorphic(scene, back), path.name
     for path in dt_files:
         d, x = load_dt(path)
-        out = tmp_path / "dt.json"
+        out = tmp_path / path.name
         save_dt(d, x, out)
         d2, x2 = load_dt(out)
         assert dt_to_dict(d2, x2) == dt_to_dict(d, x), path.name

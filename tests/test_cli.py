@@ -131,6 +131,54 @@ def test_scene_unknown_curve(capsys, grid_file):
     assert main(["scene", "resolve", grid_file, "--from", "a", "--to", "zzz"]) == 2
 
 
+def _write_scene(path, vertices, edges, curves):
+    data = {
+        "name": path.stem,
+        "vertices": [{"id": i, "halfedges_ccw": c} for i, c in enumerate(vertices)],
+        "edges": [{"id": i, "half": h, "curve": c} for i, (h, c) in enumerate(edges)],
+        "curves": [{"id": c} for c in curves],
+    }
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "op", [["faces"], ["census"], ["bigons", "--from", "a", "--to", "b"],
+           ["resolve", "--from", "a", "--to", "b"], ["validate"]]
+)
+def test_scene_ops_check_structure_first(capsys, tmp_path, op):
+    theta = _write_scene(  # two degree-3 vertices
+        tmp_path / "theta.json",
+        [[0, 1, 2], [3, 5, 4]],
+        [([0, 3], "a"), ([1, 4], "a"), ([2, 5], "b")],
+        ["a", "b"],
+    )
+    path = _write_scene(  # degree-1 ends
+        tmp_path / "path.json",
+        [[0], [1, 2], [3]],
+        [([0, 1], "a"), ([2, 3], "a")],
+        ["a", "b"],
+    )
+    dangling = _write_scene(  # half-edge 1 on no edge, 2 in no vertex
+        tmp_path / "dangling.json", [[0, 1]], [([0, 2], "a")], ["a", "b"]
+    )
+    for file in (theta, path, dangling):
+        assert main(["scene", op[0], file, *op[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("marker", [[1], [1, 0, 5]])
+def test_scene_bad_marker_exits_2(capsys, tmp_path, marker):
+    path = tmp_path / "bad.json"
+    save_scene(torus_grid_scene(1, 0, 0, 1), path)
+    data = json.loads(path.read_text())
+    data["edges"][0]["marker"] = marker
+    path.write_text(json.dumps(data))
+    assert main(["scene", "validate", str(path)]) == 2
+    assert "marker" in capsys.readouterr().err
+
+
 def test_scene_missing_file(capsys):
     assert main(["scene", "validate", "/no/such/file.json"]) == 2
 

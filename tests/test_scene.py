@@ -1,5 +1,7 @@
 """Scene engine: grids, faces, resolution, census, copies, isomorphism."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -507,3 +509,169 @@ def test_isomorphism_sees_markers_and_labels():
 def test_canonical_form_is_deterministic():
     scene = torus_grid_scene(2, -1, 1, 3)
     assert canonical_form(scene) == canonical_form(scene)
+
+
+# Reference: the all-roots canonical form, kept as the oracle for the pruned
+# search.  It encodes each component from every half-edge and keeps the
+# smallest encoding, so it is canonical by construction.
+
+
+def reference_canonical_form(scene, match_curves=True):
+    seen = set()
+    comps = []
+    for h0 in scene.half_edges():
+        if h0 in seen:
+            continue
+        orbit = set()
+        stack = [h0]
+        while stack:
+            h = stack.pop()
+            if h not in orbit:
+                orbit.add(h)
+                stack += [scene.partner(h), scene.ccw_next(h)]
+        seen |= orbit
+        comps.append(min(_reference_encoding(scene, r, match_curves) for r in orbit))
+    return tuple(sorted(comps))
+
+
+def _reference_encoding(scene, root, match_curves):
+    order = {root: 0}
+    queue = [root]
+    for h in queue:
+        for nb in (scene.ccw_next(h), scene.partner(h)):
+            if nb not in order:
+                order[nb] = len(order)
+                queue.append(nb)
+    curve_token = {}
+    rows = []
+    for h in queue:
+        e = scene.edge_of(h)
+        tok = e.curve if match_curves else curve_token.setdefault(e.curve, len(curve_token))
+        if e.marker is None:
+            mk = (0, 0, 0)
+        else:
+            p, q = e.marker if h == e.half[0] else (-e.marker[0], -e.marker[1])
+            mk = (1, p, q)
+        rows.append((order[scene.ccw_next(h)], order[scene.partner(h)], tok, mk))
+    return tuple(rows)
+
+
+def _relabelled(scene, rng, rename=None):
+    """Fresh random ids, rotated vertex cycles, randomly reversed edges (marker
+    negated to match), shuffled lists, and curves renamed by ``rename``."""
+    rename = rename or {}
+    halves = scene.half_edges()
+    hmap = dict(zip(halves, rng.sample(range(3 * len(halves) + 5), len(halves))))
+    vids = rng.sample(range(3 * len(scene.vertices) + 5), len(scene.vertices))
+    eids = rng.sample(range(3 * len(scene.edges) + 5), len(scene.edges))
+    vertices = []
+    for v, vid in zip(scene.vertices, vids):
+        k = rng.randrange(len(v.cycle))
+        cycle = tuple(hmap[h] for h in v.cycle[k:] + v.cycle[:k])
+        vertices.append(Vertex(vid, cycle))
+    edges = []
+    for e, eid in zip(scene.edges, eids):
+        half, marker = (hmap[e.half[0]], hmap[e.half[1]]), e.marker
+        if rng.random() < 0.5:
+            half = half[::-1]
+            marker = None if marker is None else (-marker[0], -marker[1])
+        edges.append(Edge(eid, half, rename.get(e.curve, e.curve), marker))
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    curves = [Curve(rename.get(c.id, c.id)) for c in scene.curves]
+    return Scene(scene.name + "~", vertices, edges, curves)
+
+
+def _negate_one_marker(scene, rng):
+    marked = [i for i, e in enumerate(scene.edges) if e.marker not in (None, (0, 0))]
+    if not marked:
+        return scene
+    i = rng.choice(marked)
+    edges = list(scene.edges)
+    e = edges[i]
+    edges[i] = Edge(e.id, e.half, e.curve, (-e.marker[0], -e.marker[1]))
+    return Scene(scene.name + "!", scene.vertices, edges, scene.curves)
+
+
+def _markerless(scene):
+    return Scene(
+        scene.name, scene.vertices, [Edge(e.id, e.half, e.curve) for e in scene.edges], scene.curves
+    )
+
+
+def _random_grid(rng, lo, hi):
+    while True:
+        p, q, r, s = (rng.randint(-8, 8) for _ in range(4))
+        if (p, q) != (0, 0) and (r, s) != (0, 0) and lo <= abs(p * s - q * r) <= hi:
+            return torus_grid_scene(p, q, r, s)
+
+
+def _assert_forms_agree(pairs):
+    cache = {}
+
+    def forms(scene, match_curves):
+        key = (id(scene), match_curves)
+        if key not in cache:
+            cache[key] = (
+                canonical_form(scene, match_curves),
+                reference_canonical_form(scene, match_curves),
+            )
+        return cache[key]
+
+    for x, y in pairs:
+        for match_curves in (True, False):
+            (new_x, ref_x), (new_y, ref_y) = forms(x, match_curves), forms(y, match_curves)
+            assert (new_x == new_y) == (ref_x == ref_y), (x.name, y.name, match_curves)
+
+
+def _pairs_around(scene, rng):
+    """Relabelled copies (isomorphic), one-marker-negated near misses,
+    markerless copies, copies with the two curves swapped, and, when the
+    curves can be resolved, resolve outputs in both directions."""
+    copy = _relabelled(scene, rng)
+    bare = _markerless(scene)
+    bare_copy = _relabelled(bare, rng)
+    for x, y in ((scene, copy), (bare, bare_copy)):
+        for match_curves in (True, False):
+            assert canonical_form(x, match_curves) == canonical_form(y, match_curves)
+    pairs = [
+        (scene, copy),
+        (scene, _relabelled(_negate_one_marker(scene, rng), rng)),
+        (bare, bare_copy),
+        (bare, _relabelled(bare, rng, {"a": "b", "b": "a"})),
+        (scene, _relabelled(scene, rng, {"a": "b", "b": "a"})),
+    ]
+    if not find_bigons(scene, "a", "b"):
+        pairs += [
+            (resolve(scene, "a", "b"), resolve(copy, "a", "b")),
+            (resolve(scene, "a", "b"), resolve(copy, "b", "a")),
+            (resolve(bare, "a", "b"), resolve(_markerless(copy), "a", "b")),
+        ]
+    return pairs
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_canonical_form_matches_all_roots_reference(seed):
+    rng = random.Random(seed)
+    scenes = [_random_grid(rng, 1, 60) for _ in range(2)]
+    pairs = [p for scene in scenes for p in _pairs_around(scene, rng)]
+    # Distinct grids of one crossing count are isomorphic exactly when an
+    # orientation-preserving torus map carries one onto the other.
+    for scene in scenes:
+        n = len(scene.vertices)
+        pairs.append((scene, _random_grid(rng, n, n)))
+    _assert_forms_agree(pairs)
+
+
+def test_canonical_form_matches_reference_on_curated_scenes():
+    rng = random.Random(2)
+    curated = [
+        genus2_filling_pair(),
+        bigon_scene(),
+        trivial_component_scene(),
+        parallel_copies(genus2_filling_pair(), "a", 2),
+        parallel_copies(torus_grid_scene(1, 0, 0, 1), "a", 3),
+    ]
+    pairs = [p for scene in curated for p in _pairs_around(scene, rng)]
+    pairs += [(x, y) for x in curated for y in curated if x is not y]
+    _assert_forms_agree(pairs)

@@ -55,6 +55,14 @@ def test_malformed_file_rejected():
         scene_from_dict({"name": "x", "vertices": [{"id": "??"}], "edges": [], "curves": []})
 
 
+@pytest.mark.parametrize("marker", [[1], [1, 0, 5], [], 7])
+def test_marker_needs_exactly_two_entries(marker):
+    d = scene_to_dict(torus_grid_scene(1, 0, 0, 1))
+    d["edges"][0]["marker"] = marker
+    with pytest.raises(InvalidScene):
+        scene_from_dict(d)
+
+
 def test_shipped_corpus_matches_fresh_builds():
     """The grid constructor is deterministic: rebuilding a corpus scene from
     its parameters reproduces the shipped file exactly."""
