@@ -243,11 +243,9 @@ def dt_from_dict(data: Dict[str, Any]) -> Tuple[PantsDecomposition, DTCoords]:
         gluing = tuple(
             (parse_slot(str(a)), parse_slot(str(b))) for a, b in data["gluing"]
         )
-        x = DTCoords(
-            m=tuple(int(v) for v in data["m"]),
-            t=tuple(int(v) for v in data["t"]),
-            b=tuple(int(v) for v in data["b"]),
-        )
+        x = DTCoords(m=tuple(data["m"]), t=tuple(data["t"]), b=tuple(data["b"]))
+        if any(type(v) is not int for v in x.m + x.t + x.b):  # bool is not int
+            raise ValueError("m, t and b must hold integers only")
     except (KeyError, TypeError, ValueError) as exc:
         raise CountMismatch(f"malformed coordinate file: {exc}") from exc
     return PantsDecomposition(pants, gluing), x

@@ -2,8 +2,12 @@
 
 A family with vector (X, Y) is realized as gcd(|X|, |Y|) straight closed
 geodesics of the primitive direction (X, Y)/gcd on the square torus, at
-distinct parallel offsets.  All geometry is exact rational arithmetic:
-crossings are located by solving the line congruences, vertices receive their
+distinct parallel offsets.  All geometry is exact integer arithmetic over one
+common denominator N = denom * lcm(g_k) * lcm(|det(u_i, u_j)|), where g_k is
+the gcd of family k's vector and the determinants run over non-parallel
+family pairs: every offset, line parameter and crossing point is an integer
+multiple of 1/N, so crossings are located by exact integer division of the
+line congruences and compared as integer tuples.  Vertices receive their
 counterclockwise cyclic order from the actual direction vectors, and each edge
 carries the integer homology marker of its lift, so marker sums along
 components recover the class exactly.
@@ -18,9 +22,8 @@ identically; the built scene is always checked, never trusted.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvalidScene, ParallelSlopes
 from .scene import Curve, Edge, Scene, Vertex
@@ -109,146 +112,110 @@ def _det(u: Vec, v: Vec) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-class _Line:
-    __slots__ = ("index", "curve", "u", "uperp", "c")
-
-    def __init__(self, index: int, curve: str, u: Vec, uperp: Vec, c: Fraction):
-        self.index = index
-        self.curve = curve
-        self.u = u  # primitive direction
-        self.uperp = uperp  # det(u, uperp) = 1
-        self.c = c  # transverse offset in the (u, uperp) frame
-
-    def point(self, t: Fraction) -> Tuple[Fraction, Fraction]:
-        return (
-            t * self.u[0] + self.c * self.uperp[0],
-            t * self.u[1] + self.c * self.uperp[1],
-        )
-
-
 def _build(
     families: Sequence[Tuple[str, Vec]], denom: int, base: int, name: str
 ) -> Optional[Scene]:
-    lines: List[_Line] = []
-    for k, (cid, (x, y)) in enumerate(families):
+    # Per family: curve id, line count g, primitive direction u and its
+    # partner uperp, det(u, uperp) = 1.
+    fams = []
+    for cid, (x, y) in families:
         g = gcd(abs(x), abs(y))
         u = (x // g, y // g)
-        uperp = _unimodular_partner(u)
+        fams.append((cid, g, u, _unimodular_partner(u)))
+    dets = (_det(f1[2], f2[2]) for k, f1 in enumerate(fams) for f2 in fams[k + 1 :])
+    n = denom * lcm(*(f[1] for f in fams)) * lcm(*(abs(d) for d in dets if d))
+
+    # Lines (curve, u, uperp, C): C / n is the transverse offset in the
+    # (u, uperp) frame.
+    lines = []
+    for k, (cid, g, u, uperp) in enumerate(fams):
         shift = pow(base, k + 1, denom)
-        for i in range(g):
-            c = Fraction(i * denom + shift, g * denom)
-            lines.append(_Line(len(lines), cid, u, uperp, c))
+        scale = n // (g * denom)
+        lines.extend((cid, u, uperp, (i * denom + shift) * scale) for i in range(g))
 
     # Distinct parallel lines: offsets must differ mod 1 in a common frame.
-    by_dir: Dict[Vec, List[Fraction]] = {}
-    for ln in lines:
-        d = ln.u if (ln.u[0], ln.u[1]) > (-ln.u[0], -ln.u[1]) else (-ln.u[0], -ln.u[1])
-        off = (ln.c * _det(d, ln.uperp)) % 1  # transverse offset in d's frame
-        by_dir.setdefault(d, []).append(off)
-    for offs in by_dir.values():
-        if len(set(offs)) != len(offs):
-            return None
+    by_dir: Dict[Vec, List[int]] = {}
+    for _, u, uperp, c in lines:
+        d = max(u, (-u[0], -u[1]))
+        by_dir.setdefault(d, []).append(c * _det(d, uperp) % n)
+    if any(len(set(offs)) != len(offs) for offs in by_dir.values()):
+        return None
 
-    # Crossings: dict canonical torus point -> list of (line index, t param).
-    crossings: Dict[Tuple[Fraction, Fraction], List[Tuple[int, Fraction]]] = {}
-    for i in range(len(lines)):
+    # Crossings: per line, (T, point) with point = n * (position mod 1) and
+    # T / n the parameter of the point along that line.
+    on_line: List[List[Tuple[int, Vec]]] = [[] for _ in lines]
+    points = set()
+    count = 0
+    for i, (_, (ux, uy), (px, py), ci) in enumerate(lines):
+        hits_i = on_line[i]
         for j in range(i + 1, len(lines)):
-            li, lj = lines[i], lines[j]
-            den = _det(lj.u, li.u)
+            _, uj, (qx, qy), cj = lines[j]
+            den = _det(uj, (ux, uy))
             if den == 0:
                 continue
-            # Points of li with det(lj.u, point) = lj.c (mod 1).
-            t0 = (lj.c - li.c * _det(lj.u, li.uperp)) / den
+            # Points of line i with det(uj, point) = cj / n (mod 1).  The
+            # division is exact: every C is a multiple of
+            # n / (denom * lcm(g_k)) = lcm(|det|), which den divides.
+            t0 = (cj - ci * _det(uj, (px, py))) // den
+            step = n // den
+            count += abs(den)
+            hits_j = on_line[j]
             for m in range(abs(den)):
-                t = (t0 + Fraction(m, 1) / den) % 1
-                z = li.point(t)
-                rep = (z[0] % 1, z[1] % 1)
-                s = _det(rep, lj.uperp) % 1  # parameter of the point on lj
-                crossings.setdefault(rep, []).append((i, t))
-                crossings[rep].append((j, s))
+                t = (t0 + m * step) % n
+                rep = ((t * ux + ci * px) % n, (t * uy + ci * py) % n)
+                points.add(rep)
+                hits_i.append((t, rep))
+                hits_j.append(((rep[0] * qy - rep[1] * qx) % n, rep))  # det(rep, uperp_j)
+    if len(points) != count:
+        return None  # multiple point; retry with other offsets
 
-    for rep, incid in crossings.items():
-        if len(incid) != 2:
-            return None  # multiple point; retry with other offsets
-
-    # Per line: crossings sorted along the direction.
-    on_line: Dict[int, List[Tuple[Fraction, Tuple[Fraction, Fraction]]]] = {
-        ln.index: [] for ln in lines
-    }
-    for rep, incid in crossings.items():
-        for line_idx, t in incid:
-            on_line[line_idx].append((t, rep))
-    for lst in on_line.values():
-        lst.sort()
-
-    # Allocate vertices at crossing points (sorted for determinism) and one
-    # auxiliary plain vertex on every crossing-free line.
-    vertex_id_of: Dict[Tuple[Fraction, Fraction], int] = {}
-    for rep in sorted(crossings):
-        vertex_id_of[rep] = len(vertex_id_of)
-    next_vid = len(vertex_id_of)
-
-    half_dir: Dict[int, Vec] = {}  # outward direction of each half-edge end
-    vertex_halves: Dict[int, List[int]] = {}
+    # Vertices at crossing points (sorted for determinism), then one plain
+    # vertex on every crossing-free line.  Half-edges at a crossing go in
+    # counterclockwise order of their outward directions.
+    vertex_id_of = {rep: vid for vid, rep in enumerate(sorted(points))}
+    rank = _ccw_rank(d for _, u, _, _ in lines for d in (u, (-u[0], -u[1])))
+    vertex_halves: List[List[Tuple[int, int]]] = [[] for _ in vertex_id_of]
+    plain: List[Vertex] = []
     edges: List[Edge] = []
-    next_hid = 0
-
-    def new_half(vertex: int, direction: Vec) -> int:
-        nonlocal next_hid
-        h = next_hid
-        next_hid += 1
-        half_dir[h] = direction
-        vertex_halves.setdefault(vertex, []).append(h)
-        return h
-
-    def neg(d: Vec) -> Vec:
-        return (-d[0], -d[1])
-
-    for ln in lines:
-        hits = on_line[ln.index]
+    for (cid, (ux, uy), _, _), hits in zip(lines, on_line):
         if not hits:
-            vid = next_vid
-            next_vid += 1
-            h_out = new_half(vid, ln.u)
-            h_in = new_half(vid, neg(ln.u))
-            edges.append(Edge(len(edges), (h_out, h_in), ln.curve, (ln.u[0], ln.u[1])))
+            h = 2 * len(edges)
+            plain.append(Vertex(len(vertex_id_of) + len(plain), (h, h + 1)))
+            edges.append(Edge(len(edges), (h, h + 1), cid, (ux, uy)))
             continue
-        for a in range(len(hits)):
-            t1, rep1 = hits[a]
-            t2, rep2 = hits[(a + 1) % len(hits)]
-            dt = t2 - t1 if a + 1 < len(hits) else t2 + 1 - t1
-            v1 = vertex_id_of[rep1]
-            v2 = vertex_id_of[rep2]
-            h_start = new_half(v1, ln.u)
-            h_end = new_half(v2, neg(ln.u))
-            lift_end = (rep1[0] + dt * ln.u[0], rep1[1] + dt * ln.u[1])
-            mx = lift_end[0] - rep2[0]
-            my = lift_end[1] - rep2[1]
-            if mx.denominator != 1 or my.denominator != 1:  # pragma: no cover
+        out_key, in_key = rank[(ux, uy)], rank[(-ux, -uy)]
+        hits.sort()
+        hits.append((hits[0][0] + n, hits[0][1]))  # wrap around the closed line
+        for (t1, rep1), (t2, rep2) in zip(hits, hits[1:]):
+            h = 2 * len(edges)
+            vertex_halves[vertex_id_of[rep1]].append((out_key, h))
+            vertex_halves[vertex_id_of[rep2]].append((in_key, h + 1))
+            mx, rx = divmod(rep1[0] + (t2 - t1) * ux - rep2[0], n)
+            my, ry = divmod(rep1[1] + (t2 - t1) * uy - rep2[1], n)
+            if rx or ry:  # pragma: no cover
                 raise InvalidScene("internal error: non-integral homology marker")
-            edges.append(
-                Edge(len(edges), (h_start, h_end), ln.curve, (int(mx), int(my)))
-            )
+            edges.append(Edge(len(edges), (h, h + 1), cid, (mx, my)))
 
-    # Counterclockwise cyclic order at each crossing, by exact angle.
-    vertices: List[Vertex] = []
-    for rep in sorted(crossings):
-        vid = vertex_id_of[rep]
-        halves = vertex_halves[vid]
-        halves.sort(key=lambda h: _angle_key(half_dir[h]))
-        vertices.append(Vertex(vid, tuple(halves)))
-    for vid in sorted(vertex_halves):  # plain vertices of crossing-free lines
-        if vid >= len(vertex_id_of):
-            vertices.append(Vertex(vid, tuple(vertex_halves[vid])))
-
-    curves = [Curve(cid, gcd(abs(x), abs(y))) for cid, (x, y) in families]
-    return Scene(name=name, vertices=vertices, edges=edges, curves=curves)
+    vertices = [
+        Vertex(vid, tuple(h for _, h in sorted(halves)))
+        for vid, halves in enumerate(vertex_halves)
+    ]
+    curves = [Curve(cid, g) for cid, g, _, _ in fams]
+    return Scene(name=name, vertices=vertices + plain, edges=edges, curves=curves)
 
 
-def _angle_key(d: Vec) -> Tuple[int, Fraction]:
-    """Sort key for counterclockwise angle from the positive x-axis."""
-    x, y = d
-    if y == 0:
-        return (0 if x > 0 else 2, Fraction(0))
-    # Within each open half-plane, -x/y increases monotonically with angle.
-    return (1 if y > 0 else 3, Fraction(-x, y))
+def _ccw_rank(dirs: Iterable[Vec]) -> Dict[Vec, int]:
+    """Position of each distinct direction in counterclockwise order from the
+    positive x-axis."""
+    dirs = set(dirs)
+    scale = lcm(*(abs(y) for _, y in dirs if y))
+
+    def key(d: Vec) -> Tuple[int, int]:
+        x, y = d
+        if y == 0:
+            return (0 if x > 0 else 2, 0)
+        # Within each open half-plane, -x/y (here scaled by a common multiple
+        # of every y, so the division is exact) increases with angle.
+        return (1 if y > 0 else 3, -x * scale // y)
+
+    return {d: k for k, d in enumerate(sorted(dirs, key=key))}

@@ -483,13 +483,8 @@ def suite_resolution_oracle(bound: int = 4, convention: str = "after") -> SuiteR
                 "mixed corners",
                 "alternating",
             )
-        rep.check(
-            "crossing-count",
-            crossing_count(scene, "a", "b") == intersection(a, b),
-            ins,
-            crossing_count(scene, "a", "b"),
-            intersection(a, b),
-        )
+        crossings, expected = crossing_count(scene, "a", "b"), intersection(a, b)
+        rep.check("crossing-count", crossings == expected, ins, crossings, expected)
         rep.check(
             "bigon-free", not find_bigons(scene, "a", "b"), ins, "bigons", "none"
         )

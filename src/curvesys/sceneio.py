@@ -9,9 +9,10 @@ A scene file is a single object::
       "curves":   [{"id": "a"}, ...]
     }
 
-``marker`` is optional per edge.  load(save(s)) is isomorphic to s (in fact it
-preserves all ids verbatim).  Expected component counts are constructor-side
-metadata and are not serialized.
+``marker`` is optional per edge.  Ids, half-edges and marker entries must be
+plain JSON integers; anything else is rejected.  load(save(s)) is isomorphic
+to s (in fact it preserves all ids verbatim).  Expected component counts are
+constructor-side metadata and are not serialized.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .errors import InvalidScene
 from .scene import Curve, Edge, Scene, Vertex
 
 __all__ = ["scene_to_dict", "scene_from_dict", "save_scene", "load_scene"]
+
+_INT = {int}  # the only accepted type for ids and markers; bool is not int
 
 
 def scene_to_dict(scene: Scene) -> Dict[str, Any]:
@@ -42,20 +45,28 @@ def scene_to_dict(scene: Scene) -> Dict[str, Any]:
 
 
 def scene_from_dict(data: Dict[str, Any]) -> Scene:
+    """Scene of a parsed scene file.  Ids, half-edges and marker entries must
+    be plain ints: floats, strings and bools raise InvalidScene."""
     try:
-        vertices = [
-            Vertex(int(v["id"]), tuple(int(h) for h in v["halfedges_ccw"]))
-            for v in data["vertices"]
-        ]
+        vertices = []
+        for v in data["vertices"]:
+            cycle = tuple(v["halfedges_ccw"])
+            if not _INT.issuperset(map(type, (v["id"], *cycle))):
+                raise ValueError(f"vertex ids and half-edges must be integers, got {v!r}")
+            vertices.append(Vertex(v["id"], cycle))
         edges = []
         for e in data["edges"]:
             h1, h2 = e["half"]
             marker = e.get("marker")
+            ints = (e["id"], h1, h2)
             if marker is not None:
                 if len(marker) != 2:
                     raise ValueError(f"edge marker must have 2 entries, got {marker!r}")
-                marker = (int(marker[0]), int(marker[1]))
-            edges.append(Edge(int(e["id"]), (int(h1), int(h2)), str(e["curve"]), marker))
+                marker = (marker[0], marker[1])
+                ints += marker
+            if not _INT.issuperset(map(type, ints)):
+                raise ValueError(f"edge ids, halves and markers must be integers, got {e!r}")
+            edges.append(Edge(e["id"], (h1, h2), str(e["curve"]), marker))
         curves = [Curve(str(c["id"])) for c in data["curves"]]
         name = str(data.get("name", "scene"))
     except (KeyError, TypeError, ValueError) as exc:

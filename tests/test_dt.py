@@ -1,8 +1,11 @@
 """Pants decompositions and twist coordinates."""
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
+from curvesys.cli import main
 from curvesys.corpus import dt_decompositions
 from curvesys.dtcoords import (
     DTCoords,
@@ -204,3 +207,22 @@ def test_malformed_file():
         dt_from_dict({"pants": [], "gluing": [["P0", "Q.0"]], "m": [], "t": [], "b": []})
     with pytest.raises(CountMismatch):
         dt_from_dict({"pants": []})
+
+
+@pytest.mark.parametrize(
+    "name, key, index, value",
+    [
+        ("genus2_closed", "m", 0, 2.0),
+        ("genus2_closed", "t", 0, "3"),
+        ("pair_of_pants", "b", 1, True),
+    ],
+)
+def test_file_takes_plain_ints_only(tmp_path, name, key, index, value):
+    """m, t and b entries that int() would coerce are rejected (exit 2)."""
+    data = dt_to_dict(*dt_decompositions()[name])
+    data[key][index] = value
+    with pytest.raises(CountMismatch, match="integers"):
+        dt_from_dict(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["dt", "validate", str(path)]) == 2

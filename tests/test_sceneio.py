@@ -5,7 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from curvesys.corpus import bigon_scene, genus2_filling_pair, trivial_component_scene
+from curvesys.cli import main
+from curvesys.corpus import (
+    bigon_scene,
+    genus2_filling_pair,
+    trivial_component_scene,
+    write_corpus,
+)
 from curvesys.errors import InvalidScene
 from curvesys.grids import torus_grid_scene
 from curvesys.sceneio import load_scene, save_scene, scene_from_dict, scene_to_dict
@@ -63,14 +69,53 @@ def test_marker_needs_exactly_two_entries(marker):
         scene_from_dict(d)
 
 
-def test_shipped_corpus_matches_fresh_builds():
-    """The grid constructor is deterministic: rebuilding a corpus scene from
-    its parameters reproduces the shipped file exactly."""
-    corpus_dir = Path(__file__).resolve().parent.parent / "corpus" / "grids"
-    if not corpus_dir.is_dir():
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("edges", 0, "marker"), [1.5, 0]),
+        (("edges", 0, "marker"), ["3", 0]),
+        (("edges", 0, "marker"), [True, 0]),
+        (("vertices", 0, "id"), "0"),
+        (("vertices", 0, "halfedges_ccw", 0), 0.0),
+        (("edges", 0, "half", 0), 0.0),
+        (("edges", 1, "id"), True),
+    ],
+    ids=[
+        "marker-float",
+        "marker-str",
+        "marker-bool",
+        "vertex-id-str",
+        "cycle-float",
+        "half-float",
+        "edge-id-bool",
+    ],
+)
+def test_loader_takes_plain_ints_only(tmp_path, capsys, path, value):
+    """Floats, numeric strings and bools are rejected, never coerced, both by
+    the loader and at the command line (exit 2)."""
+    d = scene_to_dict(torus_grid_scene(1, 0, 0, 1))
+    target = d
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(InvalidScene, match="integers"):
+        scene_from_dict(d)
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(d))
+    assert main(["scene", "validate", str(file)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_shipped_corpus_matches_fresh_builds(tmp_path):
+    """The constructors are deterministic: regenerating the whole corpus
+    reproduces every shipped file byte for byte, and no file more or less."""
+    shipped_root = Path(__file__).resolve().parent.parent / "corpus"
+    if not shipped_root.is_dir():
         pytest.skip("corpus not generated")
-    for pqrs in [(1, 0, 1, 1), (1, -2, 3, 4), (0, 1, 4, -3)]:
-        name = "grid_{}_{}_{}_{}.json".format(*pqrs)
-        shipped = load_scene(corpus_dir / name)
-        fresh = torus_grid_scene(*pqrs)
-        assert scene_to_dict(shipped) == scene_to_dict(fresh), name
+    n = write_corpus(tmp_path)
+    shipped = sorted(p.relative_to(shipped_root) for p in shipped_root.rglob("*.json"))
+    fresh = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*.json"))
+    assert fresh == shipped
+    assert n == len(shipped) == 758
+    for rel in shipped:
+        assert (tmp_path / rel).read_bytes() == (shipped_root / rel).read_bytes(), rel
