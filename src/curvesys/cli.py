@@ -35,7 +35,6 @@ from .dtcoords import (
 )
 from .errors import CurveSysError
 from .scene import (
-    _check_structure,
     components,
     find_bigons,
     resolve,
@@ -153,7 +152,6 @@ def _cmd_scene(args: argparse.Namespace) -> int:
             print(f"curve {cid}: {n} component(s)")
         # structurally valid but not a cellular embedding -> exit 1
         return 0 if diag.cellular else 1
-    _check_structure(scene)
     if args.op == "faces":
         for i, face in enumerate(trace_faces(scene)):
             sides = " ".join(f"{h}:{c}" for h, c in face.sides)

@@ -103,23 +103,6 @@ class SuiteReport:
         if not condition:
             self.failures.append(Failure(clause, dict(inputs), str(lhs), str(rhs)))
 
-    def merge(self, other: "SuiteReport") -> "SuiteReport":
-        """Combine a partial report produced by another worker.
-
-        All checks are pure functions of their inputs, so suites may be
-        sharded over enumerated inputs and the partial reports merged in
-        input order; counts and failure lists just concatenate.
-        """
-        if other.suite != self.suite or other.params != self.params:
-            raise ValueError("can only merge reports of the same suite and params")
-        return SuiteReport(
-            suite=self.suite,
-            params=self.params,
-            cases=self.cases + other.cases,
-            failures=self.failures + other.failures,
-            millis=self.millis + other.millis,
-        )
-
 
 def _require_bound(value: int, name: str) -> None:
     if not isinstance(value, int) or value < 1:
@@ -149,7 +132,8 @@ def suite_product_laws(bound: int = 4) -> SuiteReport:
                 ins = {"a": str(a), "b": str(b)}
                 ab = multiply(a, b)
                 ba = multiply(b, a)
-                if intersection(a, b) == 0:
+                i_ab = intersection(a, b)
+                if i_ab == 0:
                     rep.check("commute-disjoint", ab == ba, ins, ab, ba)
                     for c in classes:
                         got = intersection(ab, c)
@@ -163,21 +147,16 @@ def suite_product_laws(bound: int = 4) -> SuiteReport:
                         )
                 else:
                     rep.check("noncommute-crossing", ab != ba, ins, ab, ba)
-                    rep.check("cancel-left", multiply(a, ba) == b, ins, multiply(a, ba), b)
-                    rep.check("cancel-right", multiply(ab, a) == b, ins, multiply(ab, a), b)
-                    rep.check(
-                        "crossing-preserved",
-                        intersection(a, ab) == intersection(a, b)
-                        and intersection(a, ba) == intersection(a, b),
-                        ins,
-                        (intersection(a, ab), intersection(a, ba)),
-                        intersection(a, b),
-                    )
+                    left, right = multiply(a, ba), multiply(ab, a)
+                    rep.check("cancel-left", left == b, ins, left, b)
+                    rep.check("cancel-right", right == b, ins, right, b)
+                    kept = (intersection(a, ab), intersection(a, ba))
+                    rep.check("crossing-preserved", kept == (i_ab, i_ab), ins, kept, i_ab)
                 for k in range(1, 6):
                     lhs = multiply(power(a, k), power(b, k))
                     rhs = power(ab, k)
                     rep.check("power-distribution", lhs == rhs, {**ins, "k": k}, lhs, rhs)
-                if intersection(a, b) > 0:
+                if i_ab > 0:
                     for n in range(-2, 3):
                         for m_exp in range(-2, 3):
                             lhs = signed_power_multiply(
@@ -532,13 +511,8 @@ def suite_resolution_oracle(bound: int = 4, convention: str = "after") -> SuiteR
 
         # Corpus controls.
         bigon = corpus.bigon_scene()
-        rep.check(
-            "bigon-control-detected",
-            len(find_bigons(bigon, "a", "b")) == 2,
-            {"scene": bigon.name},
-            len(find_bigons(bigon, "a", "b")),
-            2,
-        )
+        n_bigons = len(find_bigons(bigon, "a", "b"))
+        rep.check("bigon-control-detected", n_bigons == 2, {"scene": bigon.name}, n_bigons, 2)
         trivial_scene = corpus.trivial_component_scene()
         found = trivial_components(trivial_scene)
         rep.check(
@@ -604,13 +578,8 @@ def suite_twist_coords(trials: int = 1000, seed: int = 7) -> SuiteReport:
                 i = 1 + trial % len(x.m)
                 tw = dt_dehn_twist(x, i, "positive")
                 unit = tuple(x.m[i - 1] if j == i - 1 else 0 for j in range(len(x.m)))
-                rep.check(
-                    "dehn-twist-is-unit-twist",
-                    tw == twist_multiply(x, unit),
-                    {**ins, "i": i},
-                    tw,
-                    twist_multiply(x, unit),
-                )
+                want = twist_multiply(x, unit)
+                rep.check("dehn-twist-is-unit-twist", tw == want, {**ins, "i": i}, tw, want)
 
     return _timed(run, report)
 

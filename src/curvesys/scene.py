@@ -3,19 +3,28 @@
 A Scene is a rotation system: each vertex lists its incident half-edges in
 counterclockwise order (four at a transverse crossing, two at a plain point on
 a curve), each edge pairs two half-edges and belongs to a named curve, and
-edges may carry integer homology markers (torus scenes).  Faces are the orbits
-of the tracing permutation h -> ccw-next of partner(h); a connected rotation
-system encodes a cellular embedding in the closed oriented surface of genus
-(2 - V + E - F) / 2.
+edges may carry integer homology markers (torus scenes).  As a combinatorial
+map it is two permutations of the half-edges, sigma (ccw-next around the
+vertex) and alpha (the partner on the same edge).  Faces are the orbits of
+h -> sigma(alpha(h)), graph components are the orbits of <sigma, alpha>, and a
+connected rotation system encodes a cellular embedding in the closed oriented
+surface of genus (2 - V + E - F) / 2.
 
-Validation has two levels.  Structural validity (half-edge bookkeeping,
-alternating crossings, curve closure) is what every operation relies on.
-Cellularity is stricter: the scene must be connected, and a scene carrying
-homology markers must encode genus 1, since markers declare a torus
-configuration.  Resolving all crossings of a pair of curves usually leaves a
-disjoint union of circles, which no longer embeds cellularly; such scenes stay
-structurally valid and support the census/triviality operations, but
-``validate`` flags them as ``NonCellular`` unless asked not to.
+Every operation checks structure first, once per scene: the first one to
+touch a scene builds its half-edge index (sigma, alpha, edge and vertex degree
+of each half-edge) and, in the same pass, checks half-edge bookkeeping, vertex
+degrees 2 or 4, alternating crossings and curve ids, raising a SceneError on
+the first violation.  No operation runs on a scene that failed the check.
+Faces, strand components and graph-component orbits are derived from the
+index at most once per scene and kept on it.
+
+Cellularity is stricter, and only ``validate`` demands it: the scene must be
+connected, and a scene carrying homology markers must encode genus 1, since
+markers declare a torus configuration.  Resolving all crossings of a pair of
+curves usually leaves a disjoint union of circles, which no longer embeds
+cellularly; such scenes stay structurally valid and support the
+census/triviality operations, but ``validate`` flags them as ``NonCellular``
+unless asked not to.
 """
 
 from __future__ import annotations
@@ -65,6 +74,7 @@ __all__ = [
 ]
 
 Marker = Tuple[int, int]
+Cycle = Tuple[int, ...]  # half-edges of one face, orbit or strand, in order
 
 
 @dataclass(frozen=True)
@@ -90,22 +100,12 @@ class Curve:
 class Scene:
     """An immutable rotation system with curve-labelled edges.
 
-    The constructor indexes half-edges but performs no validation; call
-    :func:`validate` to check invariants and obtain diagnostics.
+    Construction only stores the parts.  The first operation on the scene
+    builds its half-edge index and checks its structure; :func:`validate`
+    adds the Euler bookkeeping and the cellularity check.
     """
 
-    __slots__ = (
-        "name",
-        "vertices",
-        "edges",
-        "curves",
-        "_vertex_slot",
-        "_edge_of_half",
-        "_vertex_by_id",
-        "_edge_by_id",
-        "_curve_by_id",
-        "_half_problems",
-    )
+    __slots__ = ("name", "vertices", "edges", "curves", "_index")
 
     def __init__(
         self,
@@ -118,81 +118,19 @@ class Scene:
         self.vertices: Tuple[Vertex, ...] = tuple(vertices)
         self.edges: Tuple[Edge, ...] = tuple(edges)
         self.curves: Tuple[Curve, ...] = tuple(curves)
-
-        self._vertex_slot: Dict[int, Tuple[Vertex, int]] = {}
-        self._edge_of_half: Dict[int, Edge] = {}
-        self._half_problems: List[str] = []
-        for v in self.vertices:
-            for i, h in enumerate(v.cycle):
-                if h in self._vertex_slot:
-                    self._half_problems.append(f"half-edge {h} sits in two vertex cycles")
-                else:
-                    self._vertex_slot[h] = (v, i)
-        for e in self.edges:
-            for h in e.half:
-                if h in self._edge_of_half:
-                    self._half_problems.append(f"half-edge {h} belongs to two edges")
-                else:
-                    self._edge_of_half[h] = e
-        self._vertex_by_id = {v.id: v for v in self.vertices}
-        self._edge_by_id = {e.id: e for e in self.edges}
-        self._curve_by_id = {c.id: c for c in self.curves}
-
-    # -- basic accessors -------------------------------------------------
-
-    def vertex_of(self, half: int) -> Vertex:
-        try:
-            return self._vertex_slot[half][0]
-        except KeyError:
-            raise DanglingHalfEdge(f"half-edge {half} is in no vertex cycle") from None
-
-    def slot_of(self, half: int) -> int:
-        return self._vertex_slot[half][1]
+        self._index: Optional[_Index] = None
 
     def edge_of(self, half: int) -> Edge:
-        try:
-            return self._edge_of_half[half]
-        except KeyError:
-            raise DanglingHalfEdge(f"half-edge {half} is on no edge") from None
-
-    def curve_of(self, half: int) -> str:
-        return self.edge_of(half).curve
+        return _look_up(_index(self).edge, half)
 
     def partner(self, half: int) -> int:
-        e = self.edge_of(half)
-        return e.half[1] if e.half[0] == half else e.half[0]
+        return _look_up(_index(self).par, half)
 
     def ccw_next(self, half: int) -> int:
-        v, i = self._vertex_slot[half]
-        return v.cycle[(i + 1) % len(v.cycle)]
-
-    def face_next(self, half: int) -> int:
-        """Successor in the face-tracing permutation."""
-        return self.ccw_next(self.partner(half))
-
-    def strand_continue(self, half: int) -> int:
-        """Continue a curve strand through the vertex at which ``half`` ends."""
-        v, i = self._vertex_slot[half]
-        d = len(v.cycle)
-        return v.cycle[(i + 2) % d] if d == 4 else v.cycle[1 - i]
+        return _look_up(_index(self).nxt, half)
 
     def half_edges(self) -> List[int]:
-        return sorted(self._vertex_slot)
-
-    def curve_ids(self) -> List[str]:
-        return [c.id for c in self.curves]
-
-    def has_curve(self, curve_id: str) -> bool:
-        return curve_id in self._curve_by_id
-
-    def require_curve(self, curve_id: str) -> Curve:
-        try:
-            return self._curve_by_id[curve_id]
-        except KeyError:
-            raise UnknownCurve(f"scene {self.name!r} has no curve {curve_id!r}") from None
-
-    def edges_of_curve(self, curve_id: str) -> List[Edge]:
-        return [e for e in self.edges if e.curve == curve_id]
+        return sorted(_index(self).nxt)
 
     def has_markers(self) -> bool:
         return bool(self.edges) and all(e.marker is not None for e in self.edges)
@@ -201,7 +139,7 @@ class Scene:
         """(max vertex id, max edge id, max half-edge id), -1 when empty."""
         mv = max((v.id for v in self.vertices), default=-1)
         me = max((e.id for e in self.edges), default=-1)
-        mh = max(self._vertex_slot, default=-1)
+        mh = max(_index(self).nxt, default=-1)
         return mv, me, mh
 
     def __repr__(self) -> str:
@@ -277,7 +215,238 @@ class SceneDiagnostics:
 
 
 # ======================================================================
-# Validation
+# The half-edge index and what is derived from it
+# ======================================================================
+
+
+class _Index:
+    """sigma (``nxt``), alpha (``par``), the edge (``edge``) and the vertex
+    degree (``deg``) of every half-edge, plus the scene's curve ids.  The
+    faces, orbits and strands derived from it are filled in on first use."""
+
+    __slots__ = ("nxt", "par", "edge", "deg", "curves", "faces", "orbits", "strands")
+
+    def __init__(self, nxt, par, edge, deg, curves) -> None:
+        self.nxt: Dict[int, int] = nxt
+        self.par: Dict[int, int] = par
+        self.edge: Dict[int, Edge] = edge
+        self.deg: Dict[int, int] = deg
+        self.curves: Set[str] = curves
+        self.faces: Optional[Tuple[Cycle, ...]] = None
+        self.orbits: Optional[Tuple[Cycle, ...]] = None
+        self.strands: Optional[Tuple[ComponentCensus, Tuple[Cycle, ...]]] = None
+
+
+def _index(scene: Scene) -> _Index:
+    ix = scene._index
+    if ix is None:
+        ix = scene._index = _build_index(scene)
+    return ix
+
+
+def _build_index(scene: Scene) -> _Index:
+    """Index the half-edges of a scene, checking its structure on the way."""
+    curves = {c.id for c in scene.curves}
+    if len({v.id for v in scene.vertices}) != len(scene.vertices):
+        raise InvalidScene("duplicate vertex ids")
+    if len({e.id for e in scene.edges}) != len(scene.edges):
+        raise InvalidScene("duplicate edge ids")
+    if len(curves) != len(scene.curves):
+        raise InvalidScene("duplicate curve ids")
+
+    par: Dict[int, int] = {}
+    edge: Dict[int, Edge] = {}
+    for e in scene.edges:
+        a, b = e.half
+        if not isinstance(a, int) or not isinstance(b, int):
+            raise InvalidScene(f"half-edge ids must be integers, got {e.half!r}")
+        if e.curve not in curves:
+            raise InvalidScene(f"edge {e.id} references unknown curve {e.curve!r}")
+        if e.marker is not None:
+            try:
+                p, q = e.marker
+            except (TypeError, ValueError):
+                p = q = None
+            if not isinstance(p, int) or not isinstance(q, int):
+                raise InvalidScene(f"edge {e.id} has a non-integer marker {e.marker!r}")
+        if a == b:
+            raise DanglingHalfEdge(f"edge {e.id} repeats half-edge {a}")
+        if a in edge or b in edge:
+            raise DanglingHalfEdge(f"half-edge {a if a in edge else b} belongs to two edges")
+        par[a] = b
+        par[b] = a
+        edge[a] = edge[b] = e
+
+    nxt: Dict[int, int] = {}
+    deg: Dict[int, int] = {}
+    for v in scene.vertices:
+        cycle = v.cycle
+        d = len(cycle)
+        try:
+            labels = [edge[h].curve for h in cycle]
+        except KeyError as exc:
+            raise DanglingHalfEdge(
+                f"half-edge {exc.args[0]} is in a vertex cycle but on no edge"
+            ) from None
+        if d == 4:
+            if not labels[0] == labels[2] != labels[1] == labels[3]:
+                raise NonAlternatingCrossing(
+                    f"vertex {v.id} has curve pattern {labels}, expected A,B,A,B"
+                )
+        elif d != 2:
+            raise InvalidScene(f"vertex {v.id} has degree {d}, expected 2 or 4")
+        elif labels[0] != labels[1]:
+            raise InvalidScene(
+                f"plain vertex {v.id} joins different curves {labels[0]!r}, {labels[1]!r}"
+            )
+        for i, h in enumerate(cycle):
+            if h in nxt:
+                raise DanglingHalfEdge(f"half-edge {h} sits in two vertex cycles")
+            nxt[h] = cycle[i + 1 - d]
+            deg[h] = d
+    if len(nxt) != len(edge):
+        h = next(h for h in edge if h not in nxt)
+        raise DanglingHalfEdge(f"half-edge {h} is on an edge but in no vertex cycle")
+    return _Index(nxt, par, edge, deg, curves)
+
+
+def _look_up(table: Dict, half: int):
+    try:
+        return table[half]
+    except KeyError:
+        raise DanglingHalfEdge(f"half-edge {half} is not in the scene") from None
+
+
+def _require(scene: Scene, *curve_ids: str) -> _Index:
+    """The checked index of a scene that has every curve named."""
+    ix = _index(scene)
+    for cid in curve_ids:
+        if cid not in ix.curves:
+            raise UnknownCurve(f"scene {scene.name!r} has no curve {cid!r}")
+    return ix
+
+
+def _faces(scene: Scene) -> Tuple[Cycle, ...]:
+    ix = _index(scene)
+    if ix.faces is None:
+        ix.faces = _trace(ix)
+    return ix.faces
+
+
+def _trace(ix: _Index) -> Tuple[Cycle, ...]:
+    """Orbits of h -> sigma(alpha(h)), each started at its smallest unused
+    half-edge id."""
+    nxt, par = ix.nxt, ix.par
+    seen: Set[int] = set()
+    faces: List[Cycle] = []
+    for start in sorted(nxt):
+        if start in seen:
+            continue
+        face = [start]
+        h = nxt[par[start]]
+        while h != start:
+            face.append(h)
+            h = nxt[par[h]]
+        seen.update(face)
+        faces.append(tuple(face))
+    return tuple(faces)
+
+
+def _orbits(scene: Scene) -> Tuple[Cycle, ...]:
+    """The graph components: orbits of <sigma, alpha>, each in breadth-first
+    order from its first half-edge."""
+    ix = _index(scene)
+    if ix.orbits is None:
+        nxt, par = ix.nxt, ix.par
+        seen: Set[int] = set()
+        orbits: List[Cycle] = []
+        for start in nxt:
+            if start in seen:
+                continue
+            seen.add(start)
+            orbit = [start]
+            for h in orbit:
+                for x in (nxt[h], par[h]):
+                    if x not in seen:
+                        seen.add(x)
+                        orbit.append(x)
+            orbits.append(tuple(orbit))
+        ix.orbits = tuple(orbits)
+    return ix.orbits
+
+
+def _strands(scene: Scene) -> Tuple[ComponentCensus, Tuple[Cycle, ...]]:
+    """The component census and, per component, the half-edge by which the
+    walk enters each of its edges."""
+    ix = _index(scene)
+    if ix.strands is None:
+        ix.strands = _walk_strands(scene, ix)
+    return ix.strands
+
+
+def _walk_strands(scene: Scene, ix: _Index) -> Tuple[ComponentCensus, Tuple[Cycle, ...]]:
+    """Walk every curve's closed strands.  Each walk starts at the smallest
+    unvisited edge id, entering by that edge's first half-edge, and goes
+    straight on at every vertex: to the other half-edge at a plain vertex,
+    to the opposite one at a crossing."""
+    nxt, par, edge, deg = ix.nxt, ix.par, ix.edge, ix.deg
+    vertex_id = {h: v.id for v in scene.vertices for h in v.cycle}
+    visited: Set[int] = set()
+    comps: List[Component] = []
+    walks: List[Cycle] = []
+    for e0 in sorted(scene.edges, key=lambda e: e.id):
+        if e0.id in visited:
+            continue
+        start = h = e0.half[0]
+        entries: List[int] = []
+        verts: List[int] = []
+        total: Optional[List[int]] = [0, 0]
+        while True:
+            e = edge[h]
+            visited.add(e.id)
+            entries.append(h)
+            if e.marker is None:
+                total = None
+            elif total is not None:
+                sign = 1 if h == e.half[0] else -1
+                total[0] += sign * e.marker[0]
+                total[1] += sign * e.marker[1]
+            x = par[h]
+            verts.append(vertex_id[x])
+            h = nxt[x] if deg[x] == 2 else nxt[nxt[x]]
+            if h == start:
+                break
+        comps.append(
+            Component(
+                curve=e0.curve,
+                edges=tuple(edge[h].id for h in entries),
+                vertices=tuple(verts),
+                marker_sum=None if total is None else (total[0], total[1]),
+            )
+        )
+        walks.append(tuple(entries))
+    return ComponentCensus(tuple(comps)), tuple(walks)
+
+
+def _crosses(ix: _Index, half: int, pair: Set[str]) -> bool:
+    """Whether ``half`` sits at a crossing of the two curves in ``pair``."""
+    return ix.deg[half] == 4 and {ix.edge[half].curve, ix.edge[ix.nxt[half]].curve} == pair
+
+
+def _face(ix: _Index, cycle: Cycle) -> Face:
+    return Face(tuple((h, ix.edge[h].curve) for h in cycle))
+
+
+def _faces_on(scene: Scene, ix: _Index, degree: int, curves: Set[str]) -> List[Cycle]:
+    """The faces of the given degree whose sides lie on exactly these curves."""
+    edge = ix.edge
+    return [
+        f for f in _faces(scene) if len(f) == degree and {edge[h].curve for h in f} == curves
+    ]
+
+
+# ======================================================================
+# Validation, faces and the Euler count
 # ======================================================================
 
 
@@ -288,8 +457,6 @@ def validate(scene: Scene, require_cellular: bool = True) -> SceneDiagnostics:
     which is the right level for post-resolution scenes and for configurations
     that deliberately contain components of several graph components.
     """
-    _check_structure(scene)
-
     census = components(scene)
     per_curve: Dict[str, int] = {c.id: 0 for c in scene.curves}
     for comp in census.components:
@@ -301,10 +468,10 @@ def validate(scene: Scene, require_cellular: bool = True) -> SceneDiagnostics:
                 f"expected {c.expected_components}"
             )
 
-    faces = trace_faces(scene)
+    faces = _faces(scene)
     v, e, f = len(scene.vertices), len(scene.edges), len(faces)
     chi = v - e + f
-    connected = _is_connected(scene)
+    connected = len(_orbits(scene)) <= 1
     genus: Optional[int] = None
     if connected:
         if chi % 2 != 0 or chi > 2:
@@ -332,134 +499,28 @@ def validate(scene: Scene, require_cellular: bool = True) -> SceneDiagnostics:
         connected=connected,
         cellular=cellular,
         has_markers=has_markers,
-        face_degrees=tuple(sorted(face.degree for face in faces)),
+        face_degrees=tuple(sorted(len(face) for face in faces)),
         components_per_curve=per_curve,
     )
-
-
-def _check_structure(scene: Scene) -> None:
-    if len({v.id for v in scene.vertices}) != len(scene.vertices):
-        raise InvalidScene("duplicate vertex ids")
-    if len({e.id for e in scene.edges}) != len(scene.edges):
-        raise InvalidScene("duplicate edge ids")
-    if len({c.id for c in scene.curves}) != len(scene.curves):
-        raise InvalidScene("duplicate curve ids")
-    if scene._half_problems:
-        raise DanglingHalfEdge(scene._half_problems[0])
-
-    in_vertices = set(scene._vertex_slot)
-    in_edges = set(scene._edge_of_half)
-    for h in in_vertices - in_edges:
-        raise DanglingHalfEdge(f"half-edge {h} is in a vertex cycle but on no edge")
-    for h in in_edges - in_vertices:
-        raise DanglingHalfEdge(f"half-edge {h} is on an edge but in no vertex cycle")
-    for h in in_vertices:
-        if not isinstance(h, int):
-            raise InvalidScene(f"half-edge ids must be integers, got {h!r}")
-
-    known_curves = {c.id for c in scene.curves}
-    for e in scene.edges:
-        if e.half[0] == e.half[1]:
-            raise InvalidScene(f"edge {e.id} repeats one half-edge")
-        if e.curve not in known_curves:
-            raise InvalidScene(f"edge {e.id} references unknown curve {e.curve!r}")
-        if e.marker is not None:
-            p, q = e.marker
-            if not isinstance(p, int) or not isinstance(q, int):
-                raise InvalidScene(f"edge {e.id} has a non-integer marker {e.marker!r}")
-
-    for v in scene.vertices:
-        d = len(v.cycle)
-        if d not in (2, 4):
-            raise InvalidScene(f"vertex {v.id} has degree {d}, expected 2 or 4")
-        labels = [scene.curve_of(h) for h in v.cycle]
-        if d == 2:
-            if labels[0] != labels[1]:
-                raise InvalidScene(
-                    f"plain vertex {v.id} joins different curves {labels[0]!r}, {labels[1]!r}"
-                )
-        else:
-            if not (labels[0] == labels[2] and labels[1] == labels[3] and labels[0] != labels[1]):
-                raise NonAlternatingCrossing(
-                    f"vertex {v.id} has curve pattern {labels}, expected A,B,A,B"
-                )
-
-
-def _is_connected(scene: Scene) -> bool:
-    halves = scene._vertex_slot
-    return not halves or len(_orbit(scene, next(iter(halves)))) == len(halves)
-
-
-def _orbit(scene: Scene, start: int) -> List[int]:
-    """The half-edges of start's graph component, i.e. its orbit under
-    <ccw_next, partner>, in breadth-first order from start."""
-    slot = scene._vertex_slot
-    edge_of_half = scene._edge_of_half
-    seen = {start}
-    out = [start]
-    try:
-        for h in out:
-            v, i = slot[h]
-            a, b = edge_of_half[h].half
-            for x in (v.cycle[(i + 1) % len(v.cycle)], b if a == h else a):
-                if x not in seen:
-                    seen.add(x)
-                    out.append(x)
-    except KeyError as exc:
-        raise DanglingHalfEdge(
-            f"half-edge {exc.args[0]} is not in both a vertex cycle and an edge"
-        ) from None
-    return out
-
-
-# ======================================================================
-# Faces and the Euler count
-# ======================================================================
 
 
 def trace_faces(scene: Scene) -> List[Face]:
     """Orbits of the face-tracing permutation, each started at its smallest
     unused half-edge id.  On a disconnected scene these are the faces of the
     per-component surfaces, not of any common ambient surface."""
-    faces: List[Face] = []
-    seen: Set[int] = set()
-    for start in scene.half_edges():
-        if start in seen:
-            continue
-        sides: List[Tuple[int, str]] = []
-        h = start
-        while True:
-            seen.add(h)
-            sides.append((h, scene.curve_of(h)))
-            h = scene.face_next(h)
-            if h == start:
-                break
-        faces.append(Face(tuple(sides)))
-    return faces
+    ix = _index(scene)
+    return [_face(ix, f) for f in _faces(scene)]
 
 
 def euler_genus(scene: Scene) -> Tuple[int, int]:
-    """(chi, genus) of the closed surface the rotation system encodes.
+    """(chi, genus) of the closed surface a cellular scene encodes.
 
-    A scene that carries homology markers declares itself a torus
-    configuration; if its rotation system encodes any other genus the
-    configuration cannot be cellular on the torus (e.g. after a resolution
-    whose complement contains an annulus), and reporting the collapsed genus
-    would be a lie, so this raises NonCellular instead.
+    The checks are those of :func:`validate`: a disconnected scene, or one
+    whose homology markers declare a torus that its rotation system does not
+    encode, raises NonCellular instead of reporting a genus.
     """
-    _check_structure(scene)
-    if not _is_connected(scene):
-        raise NonCellular(f"scene {scene.name!r} is disconnected; genus is undefined")
-    f = len(trace_faces(scene))
-    chi = len(scene.vertices) - len(scene.edges) + f
-    if chi % 2 != 0 or chi > 2:
-        raise NonOrientableOrCorrupt(f"chi = {chi} is not the Euler number of a closed surface")
-    if scene.has_markers() and chi != 0:
-        raise NonCellular(
-            f"scene {scene.name!r} declares a torus via markers but its "
-            f"rotation system encodes chi = {chi}; not cellular on the torus"
-        )
-    return chi, (2 - chi) // 2
+    d = validate(scene)
+    return d.chi, d.genus
 
 
 # ======================================================================
@@ -476,14 +537,8 @@ def find_bigons(scene: Scene, curve_a: str, curve_b: str) -> List[Face]:
     only at crossings; a plain 2-valent vertex on a face boundary raises the
     face's degree past 2 even if the face is a geometric bigon.
     """
-    scene.require_curve(curve_a)
-    scene.require_curve(curve_b)
-    want = {curve_a, curve_b}
-    return [
-        face
-        for face in trace_faces(scene)
-        if face.degree == 2 and set(face.side_curves()) == want
-    ]
+    ix = _require(scene, curve_a, curve_b)
+    return [_face(ix, f) for f in _faces_on(scene, ix, 2, {curve_a, curve_b})]
 
 
 def check_region_condition(scene: Scene, c1: str, c2: str, c3: str) -> bool:
@@ -494,21 +549,16 @@ def check_region_condition(scene: Scene, c1: str, c2: str, c3: str) -> bool:
     vacuous on the closed scenes this engine models.  The three curves must be
     pairwise bigon-free (checked; BigonPresent otherwise).
     """
-    for cid in (c1, c2, c3):
-        scene.require_curve(cid)
+    ix = _require(scene, c1, c2, c3)
     triple = [c1, c2, c3]
     for i in range(3):
         for j in range(i + 1, 3):
-            if triple[i] != triple[j] and find_bigons(scene, triple[i], triple[j]):
+            if triple[i] != triple[j] and _faces_on(scene, ix, 2, {triple[i], triple[j]}):
                 raise BigonPresent(
                     f"curves {triple[i]!r} and {triple[j]!r} bound a bigon; "
                     "region condition needs minimal position"
                 )
-    want = {c1, c2, c3}
-    for face in trace_faces(scene):
-        if face.degree == 3 and set(face.side_curves()) == want:
-            return False
-    return True
+    return not _faces_on(scene, ix, 3, {c1, c2, c3})
 
 
 # ======================================================================
@@ -523,54 +573,14 @@ def components(scene: Scene) -> ComponentCensus:
     edge's first half-edge; markers are summed with signs matching the
     traversal direction.
     """
-    visited: Set[int] = set()
-    comps: List[Component] = []
-    for e0 in sorted(scene.edges, key=lambda e: e.id):
-        if e0.id in visited:
-            continue
-        edges: List[int] = []
-        verts: List[int] = []
-        total: Optional[List[int]] = [0, 0]
-        edge = e0
-        entry = e0.half[0]
-        while True:
-            visited.add(edge.id)
-            edges.append(edge.id)
-            if edge.marker is None:
-                total = None
-            elif total is not None:
-                sign = 1 if entry == edge.half[0] else -1
-                total[0] += sign * edge.marker[0]
-                total[1] += sign * edge.marker[1]
-            exit_half = edge.half[1] if entry == edge.half[0] else edge.half[0]
-            verts.append(scene.vertex_of(exit_half).id)
-            entry = scene.strand_continue(exit_half)
-            edge = scene.edge_of(entry)
-            if edge.id == e0.id and entry == e0.half[0]:
-                break
-        comps.append(
-            Component(
-                curve=e0.curve,
-                edges=tuple(edges),
-                vertices=tuple(verts),
-                marker_sum=None if total is None else (total[0], total[1]),
-            )
-        )
-    return ComponentCensus(tuple(comps))
+    return _strands(scene)[0]
 
 
 def crossing_count(scene: Scene, curve_a: str, curve_b: str) -> int:
     """Number of 4-valent vertices where the two curves cross."""
-    scene.require_curve(curve_a)
-    scene.require_curve(curve_b)
-    if curve_a == curve_b:
-        return 0
-    want = {curve_a, curve_b}
-    n = 0
-    for v in scene.vertices:
-        if len(v.cycle) == 4 and {scene.curve_of(h) for h in v.cycle} == want:
-            n += 1
-    return n
+    ix = _require(scene, curve_a, curve_b)
+    pair = {curve_a, curve_b}
+    return sum(_crosses(ix, v.cycle[0], pair) for v in scene.vertices)
 
 
 def torus_class_of_component(scene: Scene, comp: Component) -> TorusClass:
@@ -586,10 +596,6 @@ def torus_class_of_component(scene: Scene, comp: Component) -> TorusClass:
     return normalize(*comp.marker_sum)
 
 
-def _component_is_crossing_free(scene: Scene, comp: Component) -> bool:
-    return all(len(scene._vertex_by_id[v].cycle) == 2 for v in comp.vertices)
-
-
 def trivial_components(
     scene: Scene, curves: Optional[Sequence[str]] = None
 ) -> List[Component]:
@@ -602,14 +608,11 @@ def trivial_components(
     ``curves`` is None all crossing-free components are examined; naming a
     curve whose components still cross something raises ComponentHasCrossings.
     """
-    census = components(scene)
-    if curves is not None:
-        for cid in curves:
-            scene.require_curve(cid)
-    faces = None
+    ix = _require(scene, *(curves or ()))
+    census, walks = _strands(scene)
     out: List[Component] = []
-    for comp in census.components:
-        free = _component_is_crossing_free(scene, comp)
+    for comp, walk in zip(census.components, walks):
+        free = all(ix.deg[ix.par[h]] == 2 for h in walk)
         if curves is None:
             if not free:
                 continue
@@ -624,13 +627,9 @@ def trivial_components(
             if comp.marker_sum == (0, 0):
                 out.append(comp)
             continue
-        if faces is None:
-            faces = trace_faces(scene)
         edge_multiset = sorted(comp.edges)
-        for face in faces:
-            if sorted(face.side_edges(scene)) == edge_multiset:
-                out.append(comp)
-                break
+        if any(sorted(ix.edge[h].id for h in f) == edge_multiset for f in _faces(scene)):
+            out.append(comp)
     return out
 
 
@@ -664,25 +663,24 @@ def resolve(
     """
     if convention not in _CONVENTIONS:
         raise ValueError(f"convention must be one of {_CONVENTIONS}, got {convention!r}")
-    scene.require_curve(from_curve)
-    scene.require_curve(to_curve)
+    ix = _require(scene, from_curve, to_curve)
     if from_curve == to_curve:
         raise InvalidScene("resolve needs two distinct curve ids")
-    if find_bigons(scene, from_curve, to_curve):
+    pair = {from_curve, to_curve}
+    if _faces_on(scene, ix, 2, pair):
         raise BigonPresent(
             f"curves {from_curve!r}, {to_curve!r} bound a bigon; resolve needs minimal position"
         )
 
-    merged = _fresh_curve_id(scene, f"{from_curve}*{to_curve}")
-    pair = {from_curve, to_curve}
+    merged = _fresh_curve_id(ix, f"{from_curve}*{to_curve}")
     step = 1 if convention == "after" else -1
 
     next_vid = scene.max_ids()[0] + 1
     new_vertices: List[Vertex] = []
     for v in scene.vertices:
-        if len(v.cycle) == 4 and {scene.curve_of(h) for h in v.cycle} == pair:
+        if _crosses(ix, v.cycle[0], pair):
             for i, h in enumerate(v.cycle):
-                if scene.curve_of(h) == to_curve:
+                if ix.edge[h].curve == to_curve:
                     mate = v.cycle[(i + step) % 4]
                     new_vertices.append(Vertex(next_vid, (h, mate)))
                     next_vid += 1
@@ -703,11 +701,11 @@ def resolve(
     )
 
 
-def _fresh_curve_id(scene: Scene, base: str) -> str:
-    if not scene.has_curve(base):
+def _fresh_curve_id(ix: _Index, base: str) -> str:
+    if base not in ix.curves:
         return base
     n = 2
-    while scene.has_curve(f"{base}{n}"):
+    while f"{base}{n}" in ix.curves:
         n += 1
     return f"{base}{n}"
 
@@ -724,26 +722,21 @@ def corner_alternation_ok(
     """
     if convention not in _CONVENTIONS:
         raise ValueError(f"convention must be one of {_CONVENTIONS}, got {convention!r}")
-    scene.require_curve(from_curve)
-    scene.require_curve(to_curve)
+    ix = _require(scene, from_curve, to_curve)
     pair = {from_curve, to_curve}
-    for face in trace_faces(scene):
+    for face in _faces(scene):
         states: List[bool] = []
-        for h, _ in face.sides:
-            p = scene.partner(h)
-            v = scene.vertex_of(p)
-            if len(v.cycle) != 4 or {scene.curve_of(x) for x in v.cycle} != pair:
+        for h in face:
+            p = ix.par[h]
+            if not _crosses(ix, p, pair):
                 continue
             # Quadrant between p and ccw-next(p); it is closed iff that pair
             # is joined into a strand by the smoothing.
-            if convention == "after":
-                closed = scene.curve_of(p) == to_curve
-            else:
-                closed = scene.curve_of(scene.ccw_next(p)) == to_curve
-            states.append(closed)
+            q = p if convention == "after" else ix.nxt[p]
+            states.append(ix.edge[q].curve == to_curve)
         if len(states) >= 2:
             for i in range(len(states)):
-                if states[i] == states[(i + 1) % len(states)]:
+                if states[i - 1] == states[i]:
                     return False
     return True
 
@@ -765,29 +758,19 @@ def parallel_copies(scene: Scene, curve_id: str, n: int) -> Scene:
     """
     if not isinstance(n, int) or n <= 0:
         raise InvalidCount(f"number of copies must be a positive integer, got {n!r}")
-    scene.require_curve(curve_id)
-    comps = components(scene).of_curve(curve_id)
-    if len(comps) != 1:
+    ix = _require(scene, curve_id)
+    census, walks = _strands(scene)
+    mine = [i for i, c in enumerate(census.components) if c.curve == curve_id]
+    if len(mine) != 1:
         raise SelfCrossingCurve(
-            f"curve {curve_id!r} has {len(comps)} components; "
+            f"curve {curve_id!r} has {len(mine)} components; "
             "parallel_copies needs a single embedded loop"
         )
     if n == 1:
         return scene
 
-    # Walk the loop, recording each step's (edge, travel-oriented halves).
-    comp = comps[0]
-    first_edge = scene._edge_by_id[comp.edges[0]]
-    steps: List[Tuple[Edge, int, int]] = []  # (edge, half at start, half at end)
-    edge, entry = first_edge, first_edge.half[0]
-    while True:
-        exit_half = edge.half[1] if entry == edge.half[0] else edge.half[0]
-        steps.append((edge, entry, exit_half))
-        entry = scene.strand_continue(exit_half)
-        edge = scene.edge_of(entry)
-        if edge.id == first_edge.id and entry == first_edge.half[0]:
-            break
-
+    # Step i of the loop enters its edge by walk[i] and leaves by its partner.
+    comp, walk = census.components[mine[0]], walks[mine[0]]
     next_vid, next_eid, next_hid = (x + 1 for x in scene.max_ids())
 
     def fresh_half() -> int:
@@ -795,7 +778,7 @@ def parallel_copies(scene: Scene, curve_id: str, n: int) -> Scene:
         next_hid += 1
         return next_hid - 1
 
-    m = len(steps)
+    m = len(walk)
     # Travel-oriented markers per step, copied onto every copy of that edge.
     def travel_marker(edge: Edge, entry: int) -> Optional[Marker]:
         if edge.marker is None:
@@ -805,15 +788,15 @@ def parallel_copies(scene: Scene, curve_id: str, n: int) -> Scene:
     copy_half_start = [[fresh_half() for _ in range(n)] for _ in range(m)]
     copy_half_end = [[fresh_half() for _ in range(n)] for _ in range(m)]
 
-    removed_vertices = {scene.vertex_of(exit_half).id for _, _, exit_half in steps}
-    removed_edges = {e.id for e, _, _ in steps}
+    zero: Optional[Marker] = (0, 0) if scene.has_markers() else None
+    removed_vertices = set(comp.vertices)
+    removed_edges = set(comp.edges)
 
     new_vertices: List[Vertex] = [v for v in scene.vertices if v.id not in removed_vertices]
     new_edges: List[Edge] = [e for e in scene.edges if e.id not in removed_edges]
 
-    for i in range(m):
-        edge_i, entry_i, _ = steps[i]
-        marker_i = travel_marker(edge_i, entry_i)
+    for i, entry in enumerate(walk):
+        marker_i = travel_marker(ix.edge[entry], entry)
         for j in range(n):
             new_edges.append(
                 Edge(next_eid, (copy_half_start[i][j], copy_half_end[i][j]), curve_id, marker_i)
@@ -823,12 +806,10 @@ def parallel_copies(scene: Scene, curve_id: str, n: int) -> Scene:
     # Rebuild each visited vertex.  Step i ends at the vertex between step i
     # and step i+1; copies are indexed 0 (right of travel) .. n-1 (left).
     extra_vertices: List[Vertex] = []
-    for i in range(m):
-        _, _, exit_half = steps[i]
-        v = scene.vertex_of(exit_half)
+    for i, entry in enumerate(walk):
         j_in = i
         j_out = (i + 1) % m
-        if len(v.cycle) == 2:
+        if ix.deg[ix.par[entry]] == 2:
             for j in range(n):
                 extra_vertices.append(
                     Vertex(next_vid, (copy_half_end[j_in][j], copy_half_start[j_out][j]))
@@ -836,11 +817,11 @@ def parallel_copies(scene: Scene, curve_id: str, n: int) -> Scene:
                 next_vid += 1
             continue
         # Crossing with another curve: cycle reads (out, left, in, right)
-        # counterclockwise starting at the outgoing copy-curve half-edge.
-        q = scene.slot_of(scene.strand_continue(exit_half))
-        c_left = v.cycle[(q + 1) % 4]
-        c_right = v.cycle[(q + 3) % 4]
-        other_curve = scene.curve_of(c_left)
+        # counterclockwise starting at the outgoing copy-curve half-edge,
+        # which is where step i+1 enters.
+        c_left = ix.nxt[walk[j_out]]
+        c_right = ix.nxt[ix.nxt[c_left]]
+        other_curve = ix.edge[c_left].curve
         # Connector edges between consecutive copies, crossing right-to-left.
         conn_left: List[Optional[int]] = [None] * n
         conn_right: List[Optional[int]] = [None] * n
@@ -848,7 +829,7 @@ def parallel_copies(scene: Scene, curve_id: str, n: int) -> Scene:
         conn_left[n - 1] = c_left
         for j in range(1, n):
             h_a, h_b = fresh_half(), fresh_half()
-            new_edges.append(Edge(next_eid, (h_a, h_b), other_curve, _zero_like(scene)))
+            new_edges.append(Edge(next_eid, (h_a, h_b), other_curve, zero))
             next_eid += 1
             conn_left[j - 1] = h_a
             conn_right[j] = h_b
@@ -875,10 +856,6 @@ def parallel_copies(scene: Scene, curve_id: str, n: int) -> Scene:
         edges=new_edges,
         curves=new_curves,
     )
-
-
-def _zero_like(scene: Scene) -> Optional[Marker]:
-    return (0, 0) if scene.has_markers() else None
 
 
 # ======================================================================
@@ -910,51 +887,34 @@ def canonical_form(scene: Scene, match_curves: bool = True):
       tried root is skipped, since it would give the same encoding (McKay and
       Piperno, "Practical graph isomorphism, II", 2014).
     """
-    seen: Set[int] = set()
-    comps: List[Tuple] = []
-    for h0 in scene._vertex_slot:
-        if h0 not in seen:
-            orbit = _orbit(scene, h0)
-            seen.update(orbit)
-            comps.append(_component_form(scene, orbit, match_curves))
-    return tuple(sorted(comps))
+    ix = _index(scene)
+    face_len = {h: len(f) for f in _faces(scene) for h in f}
+    return tuple(
+        sorted(_component_form(ix, orbit, face_len, match_curves) for orbit in _orbits(scene))
+    )
 
 
-def _component_form(scene: Scene, halves: List[int], match_curves: bool) -> Tuple:
+def _component_form(
+    ix: _Index, halves: Cycle, face_len_of: Dict[int, int], match_curves: bool
+) -> Tuple:
     """Canonical encoding of one graph component given its half-edges."""
     n = len(halves)
     index = {h: i for i, h in enumerate(halves)}
-    nxt: List[int] = []  # ccw_next, as positions in ``halves``
-    par: List[int] = []  # partner
-    deg: List[int] = []
+    nxt = [index[ix.nxt[h]] for h in halves]  # sigma, as positions in ``halves``
+    par = [index[ix.par[h]] for h in halves]  # alpha
+    deg = [ix.deg[h] for h in halves]
+    face_len = [face_len_of[h] for h in halves]
     curve: List[str] = []
     mark: List[Tuple[int, int, int]] = []  # marker oriented along the half-edge
     for h in halves:
-        v, i = scene._vertex_slot[h]
-        d = len(v.cycle)
-        nxt.append(index[v.cycle[(i + 1) % d]])
-        deg.append(d)
-        e = scene._edge_of_half[h]
-        forward = e.half[0] == h
-        par.append(index[e.half[1] if forward else e.half[0]])
+        e = ix.edge[h]
         curve.append(e.curve)
         if e.marker is None:
             mark.append((0, 0, 0))
-        elif forward:
+        elif e.half[0] == h:
             mark.append((1, e.marker[0], e.marker[1]))
         else:
             mark.append((1, -e.marker[0], -e.marker[1]))
-
-    face_len = [0] * n
-    for i in range(n):
-        if not face_len[i]:
-            face = [i]
-            j = nxt[par[i]]
-            while j != i:
-                face.append(j)
-                j = nxt[par[j]]
-            for j in face:
-                face_len[j] = len(face)
 
     classes: Dict[Tuple, List[int]] = {}
     for i in range(n):

@@ -100,13 +100,3 @@ def test_failures_carry_witnesses():
 def test_suite_selection():
     reports = run_all(bound=1, trials=5, suites=["product_laws", "twist_coords"])
     assert [r.suite for r in reports] == ["product_laws", "twist_coords"]
-
-
-def test_report_merge():
-    a = suite_product_laws(1)
-    b = suite_product_laws(1)
-    merged = a.merge(b)
-    assert merged.cases == a.cases + b.cases
-    assert merged.ok
-    with pytest.raises(ValueError):
-        a.merge(suite_twist_coords(5))

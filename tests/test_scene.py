@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from curvesys.corpus import bigon_scene, genus2_filling_pair, trivial_component_scene
 from curvesys.errors import (
     BigonPresent,
+    CurveSysError,
     ComponentHasCrossings,
     DanglingHalfEdge,
     InvalidClass,
@@ -20,6 +21,7 @@ from curvesys.errors import (
     UnknownCurve,
 )
 from curvesys.grids import torus_grid_scene, torus_lines_scene
+from curvesys.harness import suite_resolution_oracle
 from curvesys.scene import (
     Curve,
     Edge,
@@ -675,3 +677,157 @@ def test_canonical_form_matches_reference_on_curated_scenes():
     pairs = [p for scene in curated for p in _pairs_around(scene, rng)]
     pairs += [(x, y) for x in curated for y in curated if x is not y]
     _assert_forms_agree(pairs)
+
+
+# ----------------------------------------------------------------------
+# structure is checked by every operation, once per scene
+# ----------------------------------------------------------------------
+
+
+def _loose_scene(cycles, edges, curves=("a", "b")):
+    """A scene straight from the constructor, bypassing the file loader."""
+    return Scene(
+        "loose",
+        [Vertex(i, tuple(c)) for i, c in enumerate(cycles)],
+        [Edge(i, tuple(h), c) for i, (h, c) in enumerate(edges)],
+        [Curve(c) for c in curves],
+    )
+
+
+def _path_scene():  # two degree-1 ends
+    return _loose_scene([[0], [1, 2], [3]], [([0, 1], "a"), ([2, 3], "a")])
+
+
+def _theta_scene():  # two degree-3 vertices
+    return _loose_scene([[0, 1, 2], [3, 5, 4]], [([0, 3], "a"), ([1, 4], "a"), ([2, 5], "b")])
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        lambda: components(_path_scene()),
+        lambda: trivial_components(_path_scene()),
+        lambda: find_bigons(_path_scene(), "a", "a"),
+        lambda: components(_theta_scene()),
+        lambda: canonical_form(_theta_scene()),
+        lambda: components(_loose_scene([[0, 1]], [([0, 1], "a"), ([1, 0], "a")])),
+        lambda: trace_faces(_loose_scene([[0, 1], [1, 0]], [([0, 1], "a")])),
+        lambda: components(
+            Scene("m", [Vertex(0, (0, 1))], [Edge(0, (0, 1), "a", (1,))], [Curve("a")])
+        ),
+    ],
+    ids=["degree1-components", "degree1-trivial", "degree1-bigons", "degree3-components",
+         "degree3-canonical-form", "half-on-two-edges", "half-in-two-cycles", "short-marker"],
+)
+def test_malformed_scenes_raise_in_the_library(probe):
+    with pytest.raises(CurveSysError):
+        probe()
+
+
+_CURVE_IDS = st.sampled_from("abcx")  # "x" is never declared
+_HALVES = st.integers(0, 9)
+
+
+@st.composite
+def _random_rotation_systems(draw):
+    """Small rotation systems of any shape: vertices of any degree, half-edges
+    on no edge, in two cycles or twice on one edge, and unknown curves."""
+    cycles = draw(st.lists(st.lists(_HALVES, max_size=5), max_size=5))
+    edges = draw(st.lists(st.tuples(st.tuples(_HALVES, _HALVES), _CURVE_IDS), max_size=6))
+    curves = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    marked = draw(st.booleans())
+    return Scene(
+        "random",
+        [Vertex(i, tuple(c)) for i, c in enumerate(cycles)],
+        [Edge(i, h, c, (1, 0) if marked else None) for i, (h, c) in enumerate(edges)],
+        [Curve(c) for c in curves],
+    )
+
+
+@st.composite
+def _mutated_grids(draw):
+    """A small grid, either intact or with one structural fault."""
+    p, q, r, s = draw(st.sampled_from([(1, 0, 0, 1), (2, 1, 1, 1), (2, 0, 0, 1), (3, 1, 1, 2)]))
+    grid = torus_grid_scene(p, q, r, s)
+    vertices, edges = list(grid.vertices), list(grid.edges)
+    i = draw(st.integers(0, len(vertices) - 1))
+    j = draw(st.integers(0, len(edges) - 1))
+    v, e = vertices[i], edges[j]
+    fault = draw(st.sampled_from(["none", "drop", "repeat", "unknown", "rotate-pair", "same-half"]))
+    if fault == "drop":  # degree 3, and a half-edge on an edge but in no cycle
+        vertices[i] = Vertex(v.id, v.cycle[1:])
+    elif fault == "repeat":  # one half-edge in two cycles
+        vertices[i] = Vertex(v.id, v.cycle + (vertices[0].cycle[0],))
+    elif fault == "unknown":
+        edges[j] = Edge(e.id, e.half, "x", e.marker)
+    elif fault == "rotate-pair":  # A,A,B,B at a crossing
+        c = v.cycle
+        vertices[i] = Vertex(v.id, (c[0], c[2], c[1], c[3]))
+    elif fault == "same-half":
+        edges[j] = Edge(e.id, (e.half[0], e.half[0]), e.curve, e.marker)
+    return Scene(grid.name, vertices, edges, grid.curves)
+
+
+def _every_operation(scene):
+    yield lambda: validate(scene)
+    yield lambda: validate(scene, require_cellular=False)
+    yield lambda: trace_faces(scene)
+    yield lambda: euler_genus(scene)
+    yield lambda: find_bigons(scene, "a", "b")
+    yield lambda: find_bigons(scene, "a", "a")
+    yield lambda: check_region_condition(scene, "a", "b", "c")
+    yield lambda: components(scene)
+    yield lambda: trivial_components(scene)
+    yield lambda: trivial_components(scene, curves=["a"])
+    yield lambda: crossing_count(scene, "a", "b")
+    yield lambda: corner_alternation_ok(scene, "a", "b")
+    yield lambda: corner_alternation_ok(scene, "a", "b", convention="before")
+    yield lambda: components(resolve(scene, "a", "b"))
+    yield lambda: trivial_components(resolve(scene, "b", "a", convention="before"))
+    yield lambda: validate(parallel_copies(scene, "a", 2), require_cellular=False)
+    yield lambda: canonical_form(scene, match_curves=False)
+    yield lambda: scenes_isomorphic(scene, scene)
+    yield lambda: scene.half_edges()
+    yield lambda: scene.max_ids()
+    yield lambda: [(scene.partner(h), scene.ccw_next(h), scene.edge_of(h)) for h in range(-1, 11)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_random_rotation_systems(), _mutated_grids()))
+def test_every_operation_returns_or_raises_a_curvesys_error(scene):
+    for op in _every_operation(scene):
+        try:
+            op()
+        except CurveSysError:
+            pass
+
+
+def test_structure_faces_and_strands_built_once_per_scene(monkeypatch):
+    import curvesys.scene as scene_module
+
+    built = {"index": [], "faces": [], "strands": []}
+
+    def counted(kind, fn):
+        def wrapper(*args):
+            built[kind].append(args[0])  # keeps the object alive, so ids stay distinct
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(scene_module, "_build_index", counted("index", scene_module._build_index))
+    monkeypatch.setattr(scene_module, "_trace", counted("faces", scene_module._trace))
+    monkeypatch.setattr(
+        scene_module, "_walk_strands", counted("strands", scene_module._walk_strands)
+    )
+    assert suite_resolution_oracle(2).ok
+    for kind, owners in built.items():
+        assert owners, kind
+        assert len({id(x) for x in owners}) == len(owners), kind
+
+
+def test_trace_faces_hands_out_a_fresh_list():
+    scene = torus_grid_scene(3, -2, 1, 4)
+    faces = trace_faces(scene)
+    expected = list(faces)
+    faces.clear()
+    assert trace_faces(scene) == expected
