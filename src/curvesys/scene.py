@@ -257,9 +257,12 @@ def _build_index(scene: Scene) -> _Index:
     par: Dict[int, int] = {}
     edge: Dict[int, Edge] = {}
     for e in scene.edges:
-        a, b = e.half
+        try:
+            a, b = e.half
+        except (TypeError, ValueError):
+            a = b = None
         if not isinstance(a, int) or not isinstance(b, int):
-            raise InvalidScene(f"half-edge ids must be integers, got {e.half!r}")
+            raise InvalidScene(f"edge {e.id} needs a pair of integer half-edge ids, got {e.half!r}")
         if e.curve not in curves:
             raise InvalidScene(f"edge {e.id} references unknown curve {e.curve!r}")
         if e.marker is not None:
@@ -281,13 +284,15 @@ def _build_index(scene: Scene) -> _Index:
     deg: Dict[int, int] = {}
     for v in scene.vertices:
         cycle = v.cycle
-        d = len(cycle)
         try:
             labels = [edge[h].curve for h in cycle]
         except KeyError as exc:
             raise DanglingHalfEdge(
                 f"half-edge {exc.args[0]} is in a vertex cycle but on no edge"
             ) from None
+        except TypeError:  # not a sequence, or an unhashable id
+            raise InvalidScene(f"vertex {v.id} has a malformed half-edge cycle {cycle!r}") from None
+        d = len(cycle)
         if d == 4:
             if not labels[0] == labels[2] != labels[1] == labels[3]:
                 raise NonAlternatingCrossing(

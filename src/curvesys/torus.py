@@ -43,7 +43,8 @@ class TorusClass:
     y: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.x, int) or not isinstance(self.y, int):
+        # Exactly int: a bool is not a coordinate.
+        if type(self.x) is not int or type(self.y) is not int:
             raise InvalidClass(f"integer coordinates required, got ({self.x!r}, {self.y!r})")
         if self.x == 0 and self.y == 0:
             raise InvalidClass("the zero vector does not represent a curve system")
@@ -93,7 +94,7 @@ def multiply(a: TorusClass, b: TorusClass) -> TorusClass:
 
 def power(a: TorusClass, k: int) -> TorusClass:
     """k parallel copies of a, k >= 1."""
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise InvalidExponent(f"exponent must be a positive integer, got {k!r}")
     return TorusClass(k * a.x, k * a.y)
 
@@ -173,8 +174,8 @@ def convexity_profile(
 
 def enumerate_classes(bound: int) -> List[TorusClass]:
     """All distinct classes with a representative in |x|, |y| <= bound, sorted."""
-    if bound < 1:
-        raise InvalidClass(f"bound must be >= 1, got {bound}")
+    if type(bound) is not int or bound < 1:
+        raise InvalidClass(f"bound must be an integer >= 1, got {bound!r}")
     out = set()
     for x in range(0, bound + 1):
         for y in range(-bound, bound + 1):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from curvesys import harness, torus
 from curvesys.errors import InvalidBound
 from curvesys.harness import (
     SUITES,
@@ -16,6 +17,7 @@ from curvesys.harness import (
     suite_twist_coords,
     suite_twist_dynamics,
 )
+from curvesys.torus import TorusClass
 
 
 def test_all_suites_pass_at_small_bounds():
@@ -45,6 +47,16 @@ def test_bound_one_enumerates_four_classes():
         lambda: suite_resolution_oracle(0),
         lambda: suite_twist_coords(0),
         lambda: run_all(suites=["nope"]),
+        lambda: suite_product_laws(True),
+        lambda: suite_product_laws(2.0),
+        lambda: suite_convexity(2, True, 3),
+        lambda: suite_convexity(2, -3, 3.0),
+        lambda: suite_twist_dynamics(2, True),
+        lambda: suite_twist_bounds(True, 0),
+        lambda: suite_twist_bounds(2, False),
+        lambda: suite_twist_bounds(2, -1),
+        lambda: suite_resolution_oracle(True),
+        lambda: suite_twist_coords(True),
     ],
 )
 def test_invalid_bounds_rejected(factory):
@@ -100,3 +112,155 @@ def test_failures_carry_witnesses():
 def test_suite_selection():
     reports = run_all(bound=1, trials=5, suites=["product_laws", "twist_coords"])
     assert [r.suite for r in reports] == ["product_laws", "twist_coords"]
+
+
+def test_passing_runs_format_no_witness(monkeypatch):
+    formatted = []
+    real_str = TorusClass.__str__
+
+    def counting_str(self):
+        formatted.append(self)
+        return real_str(self)
+
+    monkeypatch.setattr(TorusClass, "__str__", counting_str)
+    reports = run_all(bound=2, n_min=-3, n_max=3, gamma_bound=3, m_max=2, trials=60)
+    assert [r.suite for r in reports] == list(SUITES)
+    assert all(r.ok for r in reports)
+    assert len(formatted) == 0
+
+
+# ----------------------------------------------------------------------
+# fault injection on the torus suites
+# ----------------------------------------------------------------------
+
+
+def _bad_intersection(a, b):
+    """The true number, except that it swaps zero and nonzero on the pairs
+    with a.x + 2 a.y + 3 b.x + 5 b.y = 3 mod 7."""
+    i = torus.intersection(a, b)
+    if (a.x + 2 * a.y + 3 * b.x + 5 * b.y) % 7 == 3:
+        return 0 if i else 1
+    return i
+
+
+def _bad_dehn_twist(a, b, direction="positive"):
+    """The true image, except that classes with x + y = 0 mod 5 stay fixed."""
+    if (b.x + b.y) % 5 == 0:
+        return b
+    return torus.dehn_twist(a, b, direction)
+
+
+def _bad_multiply(a, b):
+    """The true product, except that it is taken in the wrong order when the
+    first factor has x - y = 3 mod 4."""
+    if (a.x - a.y) % 4 == 3:
+        a, b = b, a
+    return torus.multiply(a, b)
+
+
+# Per suite: the case count and, for every clause, its failure count and
+# first witness (inputs, lhs, rhs) under the three faults above.
+_PINNED_FAILURES = {
+    "product_laws": (
+        34074,
+        {
+            "disjoint-additivity": (1564, {"a": "(0,1)", "b": "(0,1)", "c": "(0,3)"}, "0", "2"),
+            "noncommute-crossing": (185, {"a": "(0,1)", "b": "(0,3)"}, "(0,4)", "(0,4)"),
+            "cancel-left": (185, {"a": "(0,1)", "b": "(0,3)"}, "(0,5)", "(0,3)"),
+            "cancel-right": (182, {"a": "(0,1)", "b": "(0,3)"}, "(0,5)", "(0,3)"),
+            "crossing-preserved": (117, {"a": "(0,1)", "b": "(0,3)"}, "(0, 0)", "1"),
+            "exponent-additivity": (
+                32, {"a": "(0,1)", "b": "(0,3)", "n": -2, "m": 1}, "(0,6)", "(0,4)"
+            ),
+            "twist-power-form": (108, {"a": "(0,1)", "b": "(0,3)"}, "(0,3)", "(0,4)"),
+            "power-distribution": (536, {"a": "(0,1)", "b": "(1,-3)", "k": 2}, "(2,-8)", "(2,-4)"),
+            "twist-matrix": (75, {"a": "(0,1)", "b": "(1,-1)"}, "(1,-1)", "(1,-2)"),
+            "twist-inverse": (51, {"a": "(0,1)", "b": "(1,0)"}, "(1,-1)", "(1,0)"),
+            "commute-disjoint": (51, {"a": "(0,1)", "b": "(2,-1)"}, "(2,0)", "(2,-2)"),
+            "product-triangle": (
+                4681,
+                {"a": "(0,1)", "b": "(0,1)", "c": "(1,1)"},
+                "(0, 0, 2)",
+                "each <= sum of the other two",
+            ),
+            "nonassociativity-witness": (
+                1,
+                {"triple": "(1,0),(0,1),(1,1)"},
+                "(TorusClass(x=2, y=2), TorusClass(x=2, y=2))",
+                "((2, 2), (2, 0))",
+            ),
+            "associativity-instance": (
+                1,
+                {"triple": "(1,0),(0,1),(1,0)"},
+                "(TorusClass(x=0, y=1), TorusClass(x=2, y=1))",
+                "(0, 1)",
+            ),
+        },
+    ),
+    "convexity": (
+        269329,
+        {
+            "midpoint-convexity": (
+                33429, {"a": "(0,1)", "b": "(0,1)", "g": "(0,1)", "n": -5}, "2", "0"
+            ),
+            "closed-form-agreement": (
+                9888,
+                {"a": "(0,1)", "b": "(0,3)", "g": "(0,1)"},
+                "[0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0]",
+                "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]",
+            ),
+            "twist-iterate-power": (2430, {"a": "(0,1)", "b": "(0,3)", "n": -6}, "(0,3)", "(0,9)"),
+            "twisted-midpoint-convexity": (
+                14390, {"a": "(0,1)", "b": "(1,-3)", "g": "(0,1)", "n": 1}, "2", "1"
+            ),
+            "spot-profile": (
+                1,
+                {"a": "(1,0)", "b": "(0,1)", "g": "(1,2)", "range": "-2..2"},
+                "[5, 3, 1, 1, 0]",
+                "[5, 3, 1, 1, 3]",
+            ),
+        },
+    ),
+    "twist_dynamics": (
+        8446,
+        {
+            "no-fixed-class": (
+                1648, {"alpha": "(0,1)", "beta": "(1,-3)", "gamma": "(1,-1)"}, "(1,-1)", "(1,-1)"
+            ),
+            "twists-do-not-commute": (64, {"alpha": "(0,1)", "beta": "(1,-2)"}, "(1,-1)", "(1,-1)"),
+        },
+    ),
+    "twist_bounds": (
+        36865,
+        {
+            "twist-intersection-bounds": (
+                12165, {"a": "(0,1)", "beta": "(0,3)", "gamma": "(0,3)", "m": 1}, "0", "(1, 1)"
+            ),
+            "spot-bound-value": (
+                1, {"a": "(1,0)", "beta": "(0,1)", "gamma": "(1,2)", "m": 2}, "0", "3"
+            ),
+        },
+    ),
+}
+
+
+def test_algebra_suite_failures_are_unchanged(monkeypatch):
+    # power-distribution and the two associativity witnesses call neither
+    # intersection nor dehn_twist, so multiply is faulted too.
+    monkeypatch.setattr(harness, "intersection", _bad_intersection)
+    monkeypatch.setattr(harness, "dehn_twist", _bad_dehn_twist)
+    monkeypatch.setattr(harness, "multiply", _bad_multiply)
+    reports = [
+        suite_product_laws(3),
+        suite_convexity(3),
+        suite_twist_dynamics(3, 4),
+        suite_twist_bounds(3, 3),
+    ]
+    got = {}
+    for r in reports:
+        clauses = {}
+        for f in r.failures:
+            entry = clauses.setdefault(f.clause, [0, f.inputs, f.lhs, f.rhs])
+            entry[0] += 1
+        got[r.suite] = (r.cases, {clause: tuple(v) for clause, v in clauses.items()})
+    assert got == _PINNED_FAILURES

@@ -715,9 +715,14 @@ def _theta_scene():  # two degree-3 vertices
         lambda: components(
             Scene("m", [Vertex(0, (0, 1))], [Edge(0, (0, 1), "a", (1,))], [Curve("a")])
         ),
+        lambda: components(Scene("m", [Vertex(0, (0, [1]))], [Edge(0, (0, 1), "a")], [Curve("a")])),
+        lambda: components(Scene("m", [Vertex(0, 7)], [Edge(0, (0, 1), "a")], [Curve("a")])),
+        lambda: components(Scene("m", [Vertex(0, (0, 1))], [Edge(0, (0, 1, 2), "a")], [Curve("a")])),
+        lambda: validate(Scene("m", [Vertex(0, (0, 1))], [Edge(0, 5, "a")], [Curve("a")])),
     ],
     ids=["degree1-components", "degree1-trivial", "degree1-bigons", "degree3-components",
-         "degree3-canonical-form", "half-on-two-edges", "half-in-two-cycles", "short-marker"],
+         "degree3-canonical-form", "half-on-two-edges", "half-in-two-cycles", "short-marker",
+         "unhashable-cycle-id", "cycle-not-a-sequence", "half-not-a-pair", "half-not-a-sequence"],
 )
 def test_malformed_scenes_raise_in_the_library(probe):
     with pytest.raises(CurveSysError):

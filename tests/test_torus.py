@@ -44,6 +44,18 @@ def test_normalize_rejects_zero():
         normalize(0, 0)
 
 
+@pytest.mark.parametrize("raw", [(True, 0), (1, False), (1.0, 2), (1, "2")])
+def test_classes_take_plain_ints_only(raw):
+    with pytest.raises(InvalidClass):
+        normalize(*raw)
+
+
+@pytest.mark.parametrize("bound", [0, True, 2.0])
+def test_enumerate_classes_rejects_bad_bounds(bound):
+    with pytest.raises(InvalidClass):
+        enumerate_classes(bound)
+
+
 @given(nonzero_vec)
 def test_normalize_sign_invariant(v):
     assert normalize(*v) == normalize(-v[0], -v[1])
@@ -135,6 +147,12 @@ def test_power_examples(a, k, want):
 
 @pytest.mark.parametrize("k", [0, -1, -7])
 def test_power_rejects_nonpositive(k):
+    with pytest.raises(InvalidExponent):
+        power(normalize(1, 0), k)
+
+
+@pytest.mark.parametrize("k", [True, 2.0])
+def test_power_takes_plain_ints_only(k):
     with pytest.raises(InvalidExponent):
         power(normalize(1, 0), k)
 
