@@ -256,4 +256,8 @@ def save_dt(d: PantsDecomposition, x: DTCoords, path: Union[str, Path]) -> None:
 
 
 def load_dt(path: Union[str, Path]) -> Tuple[PantsDecomposition, DTCoords]:
-    return dt_from_dict(json.loads(Path(path).read_text()))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise CountMismatch(f"unreadable coordinate file: {exc}") from exc
+    return dt_from_dict(data)

@@ -11,12 +11,15 @@ connected rotation system encodes a cellular embedding in the closed oriented
 surface of genus (2 - V + E - F) / 2.
 
 Every operation checks structure first, once per scene: the first one to
-touch a scene builds its half-edge index (sigma, alpha, edge and vertex degree
-of each half-edge) and, in the same pass, checks half-edge bookkeeping, vertex
-degrees 2 or 4, alternating crossings and curve ids, raising a SceneError on
-the first violation.  No operation runs on a scene that failed the check.
-Faces, strand components and graph-component orbits are derived from the
-index at most once per scene and kept on it.
+touch a scene builds its half-edge index (sigma, alpha, edge, vertex degree
+and vertex id of each half-edge) and, in the same pass, checks half-edge
+bookkeeping, vertex degrees 2 or 4, alternating crossings and curve ids,
+raising a SceneError on the first violation.  No operation runs on a scene
+that failed the check.  A resolved scene is not checked again: ``resolve``
+derives its index from the input's checked one (sharing alpha) by a local
+rewrite that keeps every structural invariant.  Faces, strand components and
+graph-component orbits are derived from the index at most once per scene and
+kept on it.
 
 Cellularity is stricter, and only ``validate`` demands it: the scene must be
 connected, and a scene carrying homology markers must encode genus 1, since
@@ -220,17 +223,18 @@ class SceneDiagnostics:
 
 
 class _Index:
-    """sigma (``nxt``), alpha (``par``), the edge (``edge``) and the vertex
-    degree (``deg``) of every half-edge, plus the scene's curve ids.  The
+    """sigma (``nxt``), alpha (``par``), edge (``edge``), vertex degree (``deg``)
+    and vertex id (``vid``) of every half-edge, plus the scene's curve ids; the
     faces, orbits and strands derived from it are filled in on first use."""
 
-    __slots__ = ("nxt", "par", "edge", "deg", "curves", "faces", "orbits", "strands")
+    __slots__ = ("nxt", "par", "edge", "deg", "vid", "curves", "faces", "orbits", "strands")
 
-    def __init__(self, nxt, par, edge, deg, curves) -> None:
+    def __init__(self, nxt, par, edge, deg, vid, curves) -> None:
         self.nxt: Dict[int, int] = nxt
         self.par: Dict[int, int] = par
         self.edge: Dict[int, Edge] = edge
         self.deg: Dict[int, int] = deg
+        self.vid: Dict[int, int] = vid
         self.curves: Set[str] = curves
         self.faces: Optional[Tuple[Cycle, ...]] = None
         self.orbits: Optional[Tuple[Cycle, ...]] = None
@@ -246,13 +250,22 @@ def _index(scene: Scene) -> _Index:
 
 def _build_index(scene: Scene) -> _Index:
     """Index the half-edges of a scene, checking its structure on the way."""
-    curves = {c.id for c in scene.curves}
-    if len({v.id for v in scene.vertices}) != len(scene.vertices):
+    try:
+        curves = {c.id for c in scene.curves}
+        vertex_ids = {v.id for v in scene.vertices}
+        edge_ids = {e.id for e in scene.edges}
+        edge_curves = {e.curve for e in scene.edges}
+    except TypeError:
+        raise InvalidScene("vertex, edge and curve ids must be hashable") from None
+    if len(vertex_ids) != len(scene.vertices):
         raise InvalidScene("duplicate vertex ids")
-    if len({e.id for e in scene.edges}) != len(scene.edges):
+    if len(edge_ids) != len(scene.edges):
         raise InvalidScene("duplicate edge ids")
     if len(curves) != len(scene.curves):
         raise InvalidScene("duplicate curve ids")
+    if not edge_curves <= curves:
+        e = next(e for e in scene.edges if e.curve not in curves)
+        raise InvalidScene(f"edge {e.id} references unknown curve {e.curve!r}")
 
     par: Dict[int, int] = {}
     edge: Dict[int, Edge] = {}
@@ -263,8 +276,6 @@ def _build_index(scene: Scene) -> _Index:
             a = b = None
         if not isinstance(a, int) or not isinstance(b, int):
             raise InvalidScene(f"edge {e.id} needs a pair of integer half-edge ids, got {e.half!r}")
-        if e.curve not in curves:
-            raise InvalidScene(f"edge {e.id} references unknown curve {e.curve!r}")
         if e.marker is not None:
             try:
                 p, q = e.marker
@@ -282,6 +293,7 @@ def _build_index(scene: Scene) -> _Index:
 
     nxt: Dict[int, int] = {}
     deg: Dict[int, int] = {}
+    vid: Dict[int, int] = {}
     for v in scene.vertices:
         cycle = v.cycle
         try:
@@ -309,10 +321,11 @@ def _build_index(scene: Scene) -> _Index:
                 raise DanglingHalfEdge(f"half-edge {h} sits in two vertex cycles")
             nxt[h] = cycle[i + 1 - d]
             deg[h] = d
+            vid[h] = v.id
     if len(nxt) != len(edge):
         h = next(h for h in edge if h not in nxt)
         raise DanglingHalfEdge(f"half-edge {h} is on an edge but in no vertex cycle")
-    return _Index(nxt, par, edge, deg, curves)
+    return _Index(nxt, par, edge, deg, vid, curves)
 
 
 def _look_up(table: Dict, half: int):
@@ -394,8 +407,7 @@ def _walk_strands(scene: Scene, ix: _Index) -> Tuple[ComponentCensus, Tuple[Cycl
     unvisited edge id, entering by that edge's first half-edge, and goes
     straight on at every vertex: to the other half-edge at a plain vertex,
     to the opposite one at a crossing."""
-    nxt, par, edge, deg = ix.nxt, ix.par, ix.edge, ix.deg
-    vertex_id = {h: v.id for v in scene.vertices for h in v.cycle}
+    nxt, par, edge, deg, vid = ix.nxt, ix.par, ix.edge, ix.deg, ix.vid
     visited: Set[int] = set()
     comps: List[Component] = []
     walks: List[Cycle] = []
@@ -404,38 +416,31 @@ def _walk_strands(scene: Scene, ix: _Index) -> Tuple[ComponentCensus, Tuple[Cycl
             continue
         start = h = e0.half[0]
         entries: List[int] = []
+        edge_ids: List[int] = []
         verts: List[int] = []
-        total: Optional[List[int]] = [0, 0]
+        marked, sx, sy = True, 0, 0
         while True:
             e = edge[h]
-            visited.add(e.id)
             entries.append(h)
-            if e.marker is None:
-                total = None
-            elif total is not None:
-                sign = 1 if h == e.half[0] else -1
-                total[0] += sign * e.marker[0]
-                total[1] += sign * e.marker[1]
+            edge_ids.append(e.id)
+            m = e.marker
+            if m is None:
+                marked = False
+            elif h == e.half[0]:
+                sx, sy = sx + m[0], sy + m[1]
+            else:
+                sx, sy = sx - m[0], sy - m[1]
             x = par[h]
-            verts.append(vertex_id[x])
+            verts.append(vid[x])
             h = nxt[x] if deg[x] == 2 else nxt[nxt[x]]
             if h == start:
                 break
+        visited.update(edge_ids)
         comps.append(
-            Component(
-                curve=e0.curve,
-                edges=tuple(edge[h].id for h in entries),
-                vertices=tuple(verts),
-                marker_sum=None if total is None else (total[0], total[1]),
-            )
+            Component(e0.curve, tuple(edge_ids), tuple(verts), (sx, sy) if marked else None)
         )
         walks.append(tuple(entries))
     return ComponentCensus(tuple(comps)), tuple(walks)
-
-
-def _crosses(ix: _Index, half: int, pair: Set[str]) -> bool:
-    """Whether ``half`` sits at a crossing of the two curves in ``pair``."""
-    return ix.deg[half] == 4 and {ix.edge[half].curve, ix.edge[ix.nxt[half]].curve} == pair
 
 
 def _face(ix: _Index, cycle: Cycle) -> Face:
@@ -584,8 +589,12 @@ def components(scene: Scene) -> ComponentCensus:
 def crossing_count(scene: Scene, curve_a: str, curve_b: str) -> int:
     """Number of 4-valent vertices where the two curves cross."""
     ix = _require(scene, curve_a, curve_b)
-    pair = {curve_a, curve_b}
-    return sum(_crosses(ix, v.cycle[0], pair) for v in scene.vertices)
+    edge, deg, pair = ix.edge, ix.deg, (curve_a, curve_b)
+    # A crossing's two curves differ, so both in the pair means exactly the pair.
+    return sum(
+        deg[v.cycle[0]] == 4 and edge[v.cycle[0]].curve in pair and edge[v.cycle[1]].curve in pair
+        for v in scene.vertices
+    )
 
 
 def torus_class_of_component(scene: Scene, comp: Component) -> TorusClass:
@@ -665,6 +674,11 @@ def resolve(
     Input must be bigon-free for the pair (BigonPresent otherwise).  If the
     curves are disjoint the scene is returned with the two curves relabelled
     as one system.
+
+    The returned scene carries an index derived from the input's checked one
+    and is not checked again: alpha is shared, and sigma, degrees and vertex
+    ids change only where a crossing's 4-cycle becomes two 2-cycles on fresh
+    vertex ids.  Edges of the pair move to the merged curve; others are reused.
     """
     if convention not in _CONVENTIONS:
         raise ValueError(f"convention must be one of {_CONVENTIONS}, got {convention!r}")
@@ -680,30 +694,37 @@ def resolve(
     merged = _fresh_curve_id(ix, f"{from_curve}*{to_curve}")
     step = 1 if convention == "after" else -1
 
-    next_vid = scene.max_ids()[0] + 1
+    edge, nxt, deg, vid = ix.edge, dict(ix.nxt), dict(ix.deg), dict(ix.vid)
+    next_vid = max(ix.vid.values(), default=-1) + 1
     new_vertices: List[Vertex] = []
     for v in scene.vertices:
-        if _crosses(ix, v.cycle[0], pair):
-            for i, h in enumerate(v.cycle):
-                if ix.edge[h].curve == to_curve:
-                    mate = v.cycle[(i + step) % 4]
-                    new_vertices.append(Vertex(next_vid, (h, mate)))
-                    next_vid += 1
-        else:
+        c = v.cycle
+        if ix.deg[c[0]] != 4 or edge[c[0]].curve not in pair or edge[c[1]].curve not in pair:
             new_vertices.append(v)
+            continue
+        first = 0 if edge[c[0]].curve == to_curve else 1
+        for i in (first, first + 2):
+            h, mate = c[i], c[(i + step) % 4]
+            new_vertices.append(Vertex(next_vid, (h, mate)))
+            nxt[h], nxt[mate] = mate, h
+            deg[h] = deg[mate] = 2
+            vid[h] = vid[mate] = next_vid
+            next_vid += 1
 
     new_edges = [
-        Edge(e.id, e.half, merged if e.curve in pair else e.curve, e.marker)
-        for e in scene.edges
+        Edge(e.id, e.half, merged, e.marker) if e.curve in pair else e for e in scene.edges
     ]
+    new_edge = {h: e for e in new_edges for h in e.half}
     new_curves = [c for c in scene.curves if c.id not in pair]
     new_curves.append(Curve(merged, None))
-    return Scene(
+    out = Scene(
         name=f"resolve({scene.name},{from_curve}->{to_curve})",
         vertices=new_vertices,
         edges=new_edges,
         curves=new_curves,
     )
+    out._index = _Index(nxt, ix.par, new_edge, deg, vid, (ix.curves - pair) | {merged})
+    return out
 
 
 def _fresh_curve_id(ix: _Index, base: str) -> str:
@@ -728,17 +749,18 @@ def corner_alternation_ok(
     if convention not in _CONVENTIONS:
         raise ValueError(f"convention must be one of {_CONVENTIONS}, got {convention!r}")
     ix = _require(scene, from_curve, to_curve)
-    pair = {from_curve, to_curve}
+    nxt, par, edge, deg = ix.nxt, ix.par, ix.edge, ix.deg
+    pair = (from_curve, to_curve)
     for face in _faces(scene):
         states: List[bool] = []
         for h in face:
-            p = ix.par[h]
-            if not _crosses(ix, p, pair):
+            p = par[h]
+            if deg[p] != 4 or edge[p].curve not in pair or edge[nxt[p]].curve not in pair:
                 continue
             # Quadrant between p and ccw-next(p); it is closed iff that pair
             # is joined into a strand by the smoothing.
-            q = p if convention == "after" else ix.nxt[p]
-            states.append(ix.edge[q].curve == to_curve)
+            q = p if convention == "after" else nxt[p]
+            states.append(edge[q].curve == to_curve)
         if len(states) >= 2:
             for i in range(len(states)):
                 if states[i - 1] == states[i]:
@@ -761,7 +783,7 @@ def parallel_copies(scene: Scene, curve_id: str, n: int) -> Scene:
     the original class and crossing counts with every other curve multiply
     by n.
     """
-    if not isinstance(n, int) or n <= 0:
+    if type(n) is not int or n <= 0:  # bool is not int
         raise InvalidCount(f"number of copies must be a positive integer, got {n!r}")
     ix = _require(scene, curve_id)
     census, walks = _strands(scene)

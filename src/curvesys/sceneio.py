@@ -79,4 +79,8 @@ def save_scene(scene: Scene, path: Union[str, Path]) -> None:
 
 
 def load_scene(path: Union[str, Path]) -> Scene:
-    return scene_from_dict(json.loads(Path(path).read_text()))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise InvalidScene(f"unreadable scene file: {exc}") from exc
+    return scene_from_dict(data)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import List, Tuple
 
-from .errors import InvalidClass, InvalidExponent, NotSimpleLoop
+from .errors import InvalidBound, InvalidClass, InvalidExponent, NotSimpleLoop
 
 __all__ = [
     "TorusClass",
@@ -145,7 +145,7 @@ class ConvexityProfile:
 
     def __post_init__(self) -> None:
         if self.n_min > self.n_max:
-            raise ValueError(f"empty range {self.n_min}..{self.n_max}")
+            raise InvalidBound(f"empty range {self.n_min}..{self.n_max}")
         if len(self.values) != self.n_max - self.n_min + 1:
             raise ValueError("values length does not match the range")
         if any(v < 0 for v in self.values):

@@ -241,3 +241,23 @@ def test_verify_bad_out_path(capsys):
         ["verify", "--suite", "twist_coords", "--trials", "5", "--out", "/no/dir/x.json"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "content", [b'{"name": "cut", "vertices": [{"id": 0, "half', b'{"name": "\xff\xfe"}'],
+    ids=["truncated", "not-utf8"],
+)
+@pytest.mark.parametrize("command", ["scene", "dt"])
+def test_unreadable_files_exit_2(capsys, tmp_path, command, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main([command, "validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_torus_profile_empty_range_exits_2(capsys):
+    argv = ["torus", "profile", "--alpha", "1,0", "--beta", "0,1", "--gamma", "1,2"]
+    assert main([*argv, "--range", "3..1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "empty range" in err and "Traceback" not in err

@@ -461,8 +461,9 @@ def test_parallel_copies_genus2_triples_crossings():
 
 def test_parallel_copies_errors():
     scene = torus_grid_scene(1, 0, 0, 1)
-    with pytest.raises(InvalidCount):
-        parallel_copies(scene, "a", 0)
+    for n in (0, True, False, 2.0):  # a bool is not a count
+        with pytest.raises(InvalidCount):
+            parallel_copies(scene, "a", n)
     multi = torus_grid_scene(2, 0, 0, 1)
     with pytest.raises(SelfCrossingCurve):
         parallel_copies(multi, "a", 2)  # two components, not a single loop
@@ -719,10 +720,16 @@ def _theta_scene():  # two degree-3 vertices
         lambda: components(Scene("m", [Vertex(0, 7)], [Edge(0, (0, 1), "a")], [Curve("a")])),
         lambda: components(Scene("m", [Vertex(0, (0, 1))], [Edge(0, (0, 1, 2), "a")], [Curve("a")])),
         lambda: validate(Scene("m", [Vertex(0, (0, 1))], [Edge(0, 5, "a")], [Curve("a")])),
+        lambda: components(Scene("m", [Vertex([0], (0, 1))], [Edge(0, (0, 1), "a")], [Curve("a")])),
+        lambda: components(Scene("m", [Vertex(0, (0, 1))], [Edge([0], (0, 1), "a")], [Curve("a")])),
+        lambda: components(Scene("m", [Vertex(0, (0, 1))], [Edge(0, (0, 1), "a")], [Curve(["a"])])),
+        lambda: components(Scene("m", [Vertex(0, (0, 1))], [Edge(0, (0, 1), ["a"])], [Curve("a")])),
     ],
     ids=["degree1-components", "degree1-trivial", "degree1-bigons", "degree3-components",
          "degree3-canonical-form", "half-on-two-edges", "half-in-two-cycles", "short-marker",
-         "unhashable-cycle-id", "cycle-not-a-sequence", "half-not-a-pair", "half-not-a-sequence"],
+         "unhashable-cycle-id", "cycle-not-a-sequence", "half-not-a-pair", "half-not-a-sequence",
+         "unhashable-vertex-id", "unhashable-edge-id", "unhashable-curve-id",
+         "unhashable-edge-curve"],
 )
 def test_malformed_scenes_raise_in_the_library(probe):
     with pytest.raises(CurveSysError):
@@ -836,3 +843,97 @@ def test_trace_faces_hands_out_a_fresh_list():
     expected = list(faces)
     faces.clear()
     assert trace_faces(scene) == expected
+
+
+_INDEX_PARTS = ("nxt", "par", "edge", "deg", "vid", "curves")
+
+
+def _assert_derived_index_is_checked_index(out):
+    """The index ``resolve`` attached equals the one a full check builds."""
+    import curvesys.scene as scene_module
+
+    derived = out._index
+    assert derived is not None
+    built = scene_module._build_index(Scene(out.name, out.vertices, out.edges, out.curves))
+    for part in _INDEX_PARTS:
+        assert getattr(derived, part) == getattr(built, part), (out.name, part)
+
+
+def test_resolve_derives_the_checked_index(monkeypatch):
+    import curvesys.harness as harness_module
+
+    outputs = []
+
+    def recorded(*args, **kwargs):
+        outputs.append(resolve(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(harness_module, "resolve", recorded)
+    suite_resolution_oracle(4, convention="after")
+    suite_resolution_oracle(4, convention="before")
+    assert len(outputs) == 4992
+    three = torus_lines_scene([("a", (1, 0)), ("b", (0, 1)), ("c", (1, 1))])
+    disjoint = torus_lines_scene([("a", (1, 0)), ("b", (0, 1)), ("c", (1, 0))])
+    colliding = torus_lines_scene([("a", (1, 0)), ("b", (0, 1)), ("a*b", (1, 1))])
+    for frm, to in (("a", "b"), ("b", "c"), ("c", "a")):
+        for convention in ("after", "before"):
+            outputs.append(resolve(three, frm, to, convention=convention))
+    outputs.append(resolve(disjoint, "a", "c"))
+    outputs.append(resolve(colliding, "a", "b"))
+    assert "a*b2" in {c.id for c in outputs[-1].curves}  # the fresh-id path
+    outputs.append(resolve(outputs[-1], "a*b2", "a*b"))  # a derived index, derived again
+    for out in outputs:
+        _assert_derived_index_is_checked_index(out)
+
+
+@st.composite
+def _three_line_families(draw):
+    """Three straight families a, b, c on the torus, parallel ones included."""
+    vecs = draw(st.lists(vectors, min_size=3, max_size=3))
+    try:
+        return torus_lines_scene(list(zip("abc", vecs)))
+    except CurveSysError:  # all three parallel
+        return torus_grid_scene(1, 0, 0, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(_random_rotation_systems(), _mutated_grids(), _three_line_families()),
+    st.sampled_from(["after", "before"]),
+)
+def test_resolve_derives_the_checked_index_on_random_scenes(scene, convention):
+    for frm, to in (("a", "b"), ("b", "c"), ("c", "a")):
+        try:
+            out = resolve(scene, frm, to, convention=convention)
+        except CurveSysError:
+            continue
+        _assert_derived_index_is_checked_index(out)
+        third = ({"a", "b", "c"} - {frm, to}).pop()
+        try:
+            again = resolve(out, f"{frm}*{to}", third, convention=convention)
+        except CurveSysError:
+            continue
+        _assert_derived_index_is_checked_index(again)
+
+
+def test_resolve_outputs_are_not_indexed_again(monkeypatch):
+    import curvesys.scene as scene_module
+
+    calls = {"_build_index": 0, "_walk_strands": 0}
+
+    def counted(name):
+        fn = getattr(scene_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(scene_module, name, counted(name))
+    assert suite_resolution_oracle(4).ok
+    # Only the grids and corpus controls are built and checked; the 2,496
+    # resolve outputs carry derived indexes, and every scene's strands are
+    # still walked once.
+    assert calls == {"_build_index": 1252, "_walk_strands": 3250}
