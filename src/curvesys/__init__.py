@@ -35,12 +35,10 @@ from .scene import (
     components,
     corner_alternation_ok,
     crossing_count,
-    euler_genus,
     find_bigons,
     parallel_copies,
     resolve,
     scenes_isomorphic,
-    torus_class_of_component,
     trace_faces,
     trivial_components,
     validate,
@@ -72,12 +70,10 @@ __all__ = [
     "components",
     "corner_alternation_ok",
     "crossing_count",
-    "euler_genus",
     "find_bigons",
     "parallel_copies",
     "resolve",
     "scenes_isomorphic",
-    "torus_class_of_component",
     "trace_faces",
     "trivial_components",
     "validate",

@@ -38,7 +38,6 @@ __all__ = [
     "DecompositionShape",
     "validate_decomposition",
     "validate_coords",
-    "pants_curve_intersection",
     "twist_multiply",
     "dehn_twist",
     "solve_twists",
@@ -53,6 +52,8 @@ Slot = Tuple[str, int]  # (pants id, slot index in 0..2)
 
 def parse_slot(text: str) -> Slot:
     """Parse "pantsId.slotIndex" into a slot."""
+    if type(text) is not str:
+        raise CountMismatch(f"slot address must be a string, got {text!r}")
     pants, dot, idx = text.rpartition(".")
     if not dot or not pants or not idx.isdigit() or int(idx) not in (0, 1, 2):
         raise CountMismatch(f"malformed slot address {text!r}, expected 'pants.index'")
@@ -166,13 +167,6 @@ def validate_coords(d: PantsDecomposition, x: DTCoords) -> None:
             )
 
 
-def pants_curve_intersection(x: DTCoords, i: int) -> int:
-    """m_i, the intersection number with pants curve i (1-based)."""
-    if not 1 <= i <= len(x.m):
-        raise UnknownCurveIndex(f"curve index {i} outside 1..{len(x.m)}")
-    return x.m[i - 1]
-
-
 def twist_multiply(x: DTCoords, k: Sequence[int]) -> DTCoords:
     """Apply k_i twists about curve i: t_i += k_i, everything else fixed.
 
@@ -238,11 +232,18 @@ def dt_to_dict(d: PantsDecomposition, x: DTCoords) -> Dict[str, Any]:
 
 
 def dt_from_dict(data: Dict[str, Any]) -> Tuple[PantsDecomposition, DTCoords]:
+    """Decomposition and coordinates of a parsed coordinate file.  The five
+    tables must be lists, pants ids and slot addresses strings and m, t, b
+    plain ints: anything else raises CountMismatch."""
     try:
-        pants = tuple(str(p["id"]) for p in data["pants"])
-        gluing = tuple(
-            (parse_slot(str(a)), parse_slot(str(b))) for a, b in data["gluing"]
-        )
+        if {type(data[k]) for k in ("pants", "gluing", "m", "t", "b")} != {list}:
+            raise ValueError("pants, gluing, m, t and b must be lists")
+        pants = tuple(p["id"] for p in data["pants"])
+        if not {str}.issuperset(map(type, pants)):
+            raise ValueError(f"pants ids must be strings, got {list(pants)!r}")
+        if not {list}.issuperset(map(type, data["gluing"])):
+            raise ValueError("gluing pairs must be lists")
+        gluing = tuple((parse_slot(a), parse_slot(b)) for a, b in data["gluing"])
         x = DTCoords(m=tuple(data["m"]), t=tuple(data["t"]), b=tuple(data["b"]))
         if any(type(v) is not int for v in x.m + x.t + x.b):  # bool is not int
             raise ValueError("m, t and b must hold integers only")
@@ -258,6 +259,6 @@ def save_dt(d: PantsDecomposition, x: DTCoords, path: Union[str, Path]) -> None:
 def load_dt(path: Union[str, Path]) -> Tuple[PantsDecomposition, DTCoords]:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+    except (ValueError, RecursionError) as exc:  # as in sceneio.load_scene
         raise CountMismatch(f"unreadable coordinate file: {exc}") from exc
     return dt_from_dict(data)

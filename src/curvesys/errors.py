@@ -69,10 +69,6 @@ class ParallelSlopes(SceneError, ValueError):
     """torus_grid_scene needs two non-parallel direction vectors."""
 
 
-class MissingMarkers(SceneError):
-    """Homology was requested on edges that carry no markers."""
-
-
 # ---- twist coordinates ----
 
 class DTError(CurveSysError):

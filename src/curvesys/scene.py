@@ -11,23 +11,23 @@ connected rotation system encodes a cellular embedding in the closed oriented
 surface of genus (2 - V + E - F) / 2.
 
 Every operation checks structure first, once per scene: the first one to
-touch a scene builds its half-edge index (sigma, alpha, edge, vertex degree
-and vertex id of each half-edge) and, in the same pass, checks half-edge
-bookkeeping, vertex degrees 2 or 4, alternating crossings and curve ids,
-raising a SceneError on the first violation.  No operation runs on a scene
-that failed the check.  A resolved scene is not checked again: ``resolve``
-derives its index from the input's checked one (sharing alpha) by a local
-rewrite that keeps every structural invariant.  Faces, strand components and
-graph-component orbits are derived from the index at most once per scene and
-kept on it.
+touch a scene builds its half-edge index (sigma, alpha, edge and vertex
+degree of each half-edge) and, in the same pass, checks integer vertex and
+edge ids, half-edge bookkeeping, vertex degrees 2 or 4, alternating crossings
+and curve ids, raising a SceneError on the first violation.  No operation
+runs on a scene that failed the check.  A resolved scene is not checked again:
+``resolve`` derives its index from the input's checked one (sharing alpha) by
+a local rewrite that keeps every structural invariant.  Faces, strand
+components and graph-component orbits are derived from the index at most once
+per scene and kept on it.
 
 Cellularity is stricter, and only ``validate`` demands it: the scene must be
-connected, and a scene carrying homology markers must encode genus 1, since
-markers declare a torus configuration.  Resolving all crossings of a pair of
-curves usually leaves a disjoint union of circles, which no longer embeds
-cellularly; such scenes stay structurally valid and support the
-census/triviality operations, but ``validate`` flags them as ``NonCellular``
-unless asked not to.
+connected (one graph component, so not empty), and a scene carrying homology
+markers must encode genus 1, since markers declare a torus configuration.
+Resolving all crossings of a pair of curves usually leaves a disjoint union of
+circles, which no longer embeds cellularly; such scenes stay structurally
+valid and support the census/triviality operations, but ``validate`` flags
+them as ``NonCellular`` unless asked not to.
 """
 
 from __future__ import annotations
@@ -39,10 +39,8 @@ from .errors import (
     BigonPresent,
     ComponentHasCrossings,
     DanglingHalfEdge,
-    InvalidClass,
     InvalidCount,
     InvalidScene,
-    MissingMarkers,
     NonAlternatingCrossing,
     NonCellular,
     NonOrientableOrCorrupt,
@@ -62,7 +60,6 @@ __all__ = [
     "SceneDiagnostics",
     "validate",
     "trace_faces",
-    "euler_genus",
     "find_bigons",
     "check_region_condition",
     "resolve",
@@ -70,7 +67,6 @@ __all__ = [
     "trivial_components",
     "parallel_copies",
     "crossing_count",
-    "torus_class_of_component",
     "corner_alternation_ok",
     "scenes_isomorphic",
     "canonical_form",
@@ -123,18 +119,6 @@ class Scene:
         self.curves: Tuple[Curve, ...] = tuple(curves)
         self._index: Optional[_Index] = None
 
-    def edge_of(self, half: int) -> Edge:
-        return _look_up(_index(self).edge, half)
-
-    def partner(self, half: int) -> int:
-        return _look_up(_index(self).par, half)
-
-    def ccw_next(self, half: int) -> int:
-        return _look_up(_index(self).nxt, half)
-
-    def half_edges(self) -> List[int]:
-        return sorted(_index(self).nxt)
-
     def has_markers(self) -> bool:
         return bool(self.edges) and all(e.marker is not None for e in self.edges)
 
@@ -162,12 +146,6 @@ class Face:
     def degree(self) -> int:
         return len(self.sides)
 
-    def side_curves(self) -> Tuple[str, ...]:
-        return tuple(c for _, c in self.sides)
-
-    def side_edges(self, scene: Scene) -> Tuple[int, ...]:
-        return tuple(scene.edge_of(h).id for h, _ in self.sides)
-
 
 @dataclass(frozen=True)
 class Component:
@@ -175,7 +153,6 @@ class Component:
 
     curve: str
     edges: Tuple[int, ...]
-    vertices: Tuple[int, ...]
     marker_sum: Optional[Marker]
 
     def homology(self) -> Optional[TorusClass]:
@@ -187,9 +164,6 @@ class Component:
 @dataclass(frozen=True)
 class ComponentCensus:
     components: Tuple[Component, ...]
-
-    def of_curve(self, curve_id: str) -> List[Component]:
-        return [c for c in self.components if c.curve == curve_id]
 
     def class_multiset(self, curve_id: Optional[str] = None) -> Dict[TorusClass, int]:
         """How many components of each (nonzero) class, optionally per curve."""
@@ -212,7 +186,6 @@ class SceneDiagnostics:
     genus: Optional[int]  # None when the scene is disconnected
     connected: bool
     cellular: bool
-    has_markers: bool
     face_degrees: Tuple[int, ...]
     components_per_curve: Dict[str, int] = field(hash=False, default_factory=dict)
 
@@ -223,18 +196,17 @@ class SceneDiagnostics:
 
 
 class _Index:
-    """sigma (``nxt``), alpha (``par``), edge (``edge``), vertex degree (``deg``)
-    and vertex id (``vid``) of every half-edge, plus the scene's curve ids; the
-    faces, orbits and strands derived from it are filled in on first use."""
+    """sigma (``nxt``), alpha (``par``), edge (``edge``) and vertex degree
+    (``deg``) of every half-edge, plus the scene's curve ids; the faces, orbits
+    and strands derived from it are filled in on first use."""
 
-    __slots__ = ("nxt", "par", "edge", "deg", "vid", "curves", "faces", "orbits", "strands")
+    __slots__ = ("nxt", "par", "edge", "deg", "curves", "faces", "orbits", "strands")
 
-    def __init__(self, nxt, par, edge, deg, vid, curves) -> None:
+    def __init__(self, nxt, par, edge, deg, curves) -> None:
         self.nxt: Dict[int, int] = nxt
         self.par: Dict[int, int] = par
         self.edge: Dict[int, Edge] = edge
         self.deg: Dict[int, int] = deg
-        self.vid: Dict[int, int] = vid
         self.curves: Set[str] = curves
         self.faces: Optional[Tuple[Cycle, ...]] = None
         self.orbits: Optional[Tuple[Cycle, ...]] = None
@@ -270,6 +242,8 @@ def _build_index(scene: Scene) -> _Index:
     par: Dict[int, int] = {}
     edge: Dict[int, Edge] = {}
     for e in scene.edges:
+        if type(e.id) is not int:  # bool is not int
+            raise InvalidScene(f"edge id {e.id!r} is not an integer")
         try:
             a, b = e.half
         except (TypeError, ValueError):
@@ -293,8 +267,9 @@ def _build_index(scene: Scene) -> _Index:
 
     nxt: Dict[int, int] = {}
     deg: Dict[int, int] = {}
-    vid: Dict[int, int] = {}
     for v in scene.vertices:
+        if type(v.id) is not int:
+            raise InvalidScene(f"vertex id {v.id!r} is not an integer")
         cycle = v.cycle
         try:
             labels = [edge[h].curve for h in cycle]
@@ -321,18 +296,10 @@ def _build_index(scene: Scene) -> _Index:
                 raise DanglingHalfEdge(f"half-edge {h} sits in two vertex cycles")
             nxt[h] = cycle[i + 1 - d]
             deg[h] = d
-            vid[h] = v.id
     if len(nxt) != len(edge):
         h = next(h for h in edge if h not in nxt)
         raise DanglingHalfEdge(f"half-edge {h} is on an edge but in no vertex cycle")
-    return _Index(nxt, par, edge, deg, vid, curves)
-
-
-def _look_up(table: Dict, half: int):
-    try:
-        return table[half]
-    except KeyError:
-        raise DanglingHalfEdge(f"half-edge {half} is not in the scene") from None
+    return _Index(nxt, par, edge, deg, curves)
 
 
 def _require(scene: Scene, *curve_ids: str) -> _Index:
@@ -407,7 +374,7 @@ def _walk_strands(scene: Scene, ix: _Index) -> Tuple[ComponentCensus, Tuple[Cycl
     unvisited edge id, entering by that edge's first half-edge, and goes
     straight on at every vertex: to the other half-edge at a plain vertex,
     to the opposite one at a crossing."""
-    nxt, par, edge, deg, vid = ix.nxt, ix.par, ix.edge, ix.deg, ix.vid
+    nxt, par, edge, deg = ix.nxt, ix.par, ix.edge, ix.deg
     visited: Set[int] = set()
     comps: List[Component] = []
     walks: List[Cycle] = []
@@ -417,7 +384,6 @@ def _walk_strands(scene: Scene, ix: _Index) -> Tuple[ComponentCensus, Tuple[Cycl
         start = h = e0.half[0]
         entries: List[int] = []
         edge_ids: List[int] = []
-        verts: List[int] = []
         marked, sx, sy = True, 0, 0
         while True:
             e = edge[h]
@@ -431,14 +397,11 @@ def _walk_strands(scene: Scene, ix: _Index) -> Tuple[ComponentCensus, Tuple[Cycl
             else:
                 sx, sy = sx - m[0], sy - m[1]
             x = par[h]
-            verts.append(vid[x])
             h = nxt[x] if deg[x] == 2 else nxt[nxt[x]]
             if h == start:
                 break
         visited.update(edge_ids)
-        comps.append(
-            Component(e0.curve, tuple(edge_ids), tuple(verts), (sx, sy) if marked else None)
-        )
+        comps.append(Component(e0.curve, tuple(edge_ids), (sx, sy) if marked else None))
         walks.append(tuple(entries))
     return ComponentCensus(tuple(comps)), tuple(walks)
 
@@ -481,14 +444,13 @@ def validate(scene: Scene, require_cellular: bool = True) -> SceneDiagnostics:
     faces = _faces(scene)
     v, e, f = len(scene.vertices), len(scene.edges), len(faces)
     chi = v - e + f
-    connected = len(_orbits(scene)) <= 1
+    connected = len(_orbits(scene)) == 1
     genus: Optional[int] = None
     if connected:
         if chi % 2 != 0 or chi > 2:
             raise NonOrientableOrCorrupt(f"connected scene with chi = {chi}")
         genus = (2 - chi) // 2
-    has_markers = scene.has_markers()
-    cellular = connected and (genus == 1 if has_markers else True)
+    cellular = connected and (genus == 1 if scene.has_markers() else True)
 
     if require_cellular and not cellular:
         if not connected:
@@ -508,7 +470,6 @@ def validate(scene: Scene, require_cellular: bool = True) -> SceneDiagnostics:
         genus=genus,
         connected=connected,
         cellular=cellular,
-        has_markers=has_markers,
         face_degrees=tuple(sorted(len(face) for face in faces)),
         components_per_curve=per_curve,
     )
@@ -520,17 +481,6 @@ def trace_faces(scene: Scene) -> List[Face]:
     per-component surfaces, not of any common ambient surface."""
     ix = _index(scene)
     return [_face(ix, f) for f in _faces(scene)]
-
-
-def euler_genus(scene: Scene) -> Tuple[int, int]:
-    """(chi, genus) of the closed surface a cellular scene encodes.
-
-    The checks are those of :func:`validate`: a disconnected scene, or one
-    whose homology markers declare a torus that its rotation system does not
-    encode, raises NonCellular instead of reporting a genus.
-    """
-    d = validate(scene)
-    return d.chi, d.genus
 
 
 # ======================================================================
@@ -595,19 +545,6 @@ def crossing_count(scene: Scene, curve_a: str, curve_b: str) -> int:
         deg[v.cycle[0]] == 4 and edge[v.cycle[0]].curve in pair and edge[v.cycle[1]].curve in pair
         for v in scene.vertices
     )
-
-
-def torus_class_of_component(scene: Scene, comp: Component) -> TorusClass:
-    """Homology class of one component, from its signed marker sum."""
-    if comp.marker_sum is None:
-        raise MissingMarkers(
-            f"component of curve {comp.curve!r} has edges without homology markers"
-        )
-    if comp.marker_sum == (0, 0):
-        raise InvalidClass(
-            f"component of curve {comp.curve!r} is null-homologous; it has no class"
-        )
-    return normalize(*comp.marker_sum)
 
 
 def trivial_components(
@@ -676,9 +613,9 @@ def resolve(
     as one system.
 
     The returned scene carries an index derived from the input's checked one
-    and is not checked again: alpha is shared, and sigma, degrees and vertex
-    ids change only where a crossing's 4-cycle becomes two 2-cycles on fresh
-    vertex ids.  Edges of the pair move to the merged curve; others are reused.
+    and is not checked again: alpha is shared, and sigma and degrees change
+    only where a crossing's 4-cycle becomes two 2-cycles on fresh vertex ids.
+    Edges of the pair move to the merged curve; others are reused.
     """
     if convention not in _CONVENTIONS:
         raise ValueError(f"convention must be one of {_CONVENTIONS}, got {convention!r}")
@@ -694,8 +631,8 @@ def resolve(
     merged = _fresh_curve_id(ix, f"{from_curve}*{to_curve}")
     step = 1 if convention == "after" else -1
 
-    edge, nxt, deg, vid = ix.edge, dict(ix.nxt), dict(ix.deg), dict(ix.vid)
-    next_vid = max(ix.vid.values(), default=-1) + 1
+    edge, nxt, deg = ix.edge, dict(ix.nxt), dict(ix.deg)
+    next_vid = max((v.id for v in scene.vertices), default=-1) + 1
     new_vertices: List[Vertex] = []
     for v in scene.vertices:
         c = v.cycle
@@ -708,7 +645,6 @@ def resolve(
             new_vertices.append(Vertex(next_vid, (h, mate)))
             nxt[h], nxt[mate] = mate, h
             deg[h] = deg[mate] = 2
-            vid[h] = vid[mate] = next_vid
             next_vid += 1
 
     new_edges = [
@@ -723,7 +659,7 @@ def resolve(
         edges=new_edges,
         curves=new_curves,
     )
-    out._index = _Index(nxt, ix.par, new_edge, deg, vid, (ix.curves - pair) | {merged})
+    out._index = _Index(nxt, ix.par, new_edge, deg, (ix.curves - pair) | {merged})
     return out
 
 
@@ -816,10 +752,10 @@ def parallel_copies(scene: Scene, curve_id: str, n: int) -> Scene:
     copy_half_end = [[fresh_half() for _ in range(n)] for _ in range(m)]
 
     zero: Optional[Marker] = (0, 0) if scene.has_markers() else None
-    removed_vertices = set(comp.vertices)
+    loop_halves = {h for e in walk for h in (e, ix.par[e])}
     removed_edges = set(comp.edges)
 
-    new_vertices: List[Vertex] = [v for v in scene.vertices if v.id not in removed_vertices]
+    new_vertices: List[Vertex] = [v for v in scene.vertices if loop_halves.isdisjoint(v.cycle)]
     new_edges: List[Edge] = [e for e in scene.edges if e.id not in removed_edges]
 
     for i, entry in enumerate(walk):
@@ -990,7 +926,7 @@ def _encode_rows(
     best: Optional[List[Tuple]],
 ):
     """Breadth-first encoding from ``root``, one row per visited half-edge:
-    (position of ccw_next, position of partner, curve token, oriented marker).
+    (position of ccw-next, position of partner, curve token, oriented marker).
 
     Returns None as soon as a row makes the encoding larger than ``best``;
     otherwise (rows, visiting order, whether the rows equal ``best``).

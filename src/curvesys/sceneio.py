@@ -9,9 +9,10 @@ A scene file is a single object::
       "curves":   [{"id": "a"}, ...]
     }
 
-``marker`` is optional per edge.  Ids, half-edges and marker entries must be
-plain JSON integers; anything else is rejected.  load(save(s)) is isomorphic
-to s (in fact it preserves all ids verbatim).  Expected component counts are
+``marker`` is optional per edge.  The three tables must be JSON lists, ids,
+half-edges and marker entries plain JSON integers, and the name, curve ids and
+edge curve labels JSON strings; anything else is rejected.  load(save(s)) is
+isomorphic to s (in fact it preserves all ids verbatim).  Expected component counts are
 constructor-side metadata and are not serialized.
 """
 
@@ -46,8 +47,11 @@ def scene_to_dict(scene: Scene) -> Dict[str, Any]:
 
 def scene_from_dict(data: Dict[str, Any]) -> Scene:
     """Scene of a parsed scene file.  Ids, half-edges and marker entries must
-    be plain ints: floats, strings and bools raise InvalidScene."""
+    be plain ints (floats, strings and bools raise InvalidScene), the name and
+    curve labels strings, and the tables lists."""
     try:
+        if {type(data[k]) for k in ("vertices", "edges", "curves")} != {list}:
+            raise ValueError("vertices, edges and curves must be lists")
         vertices = []
         for v in data["vertices"]:
             cycle = tuple(v["halfedges_ccw"])
@@ -66,9 +70,14 @@ def scene_from_dict(data: Dict[str, Any]) -> Scene:
                 ints += marker
             if not _INT.issuperset(map(type, ints)):
                 raise ValueError(f"edge ids, halves and markers must be integers, got {e!r}")
-            edges.append(Edge(e["id"], (h1, h2), str(e["curve"]), marker))
-        curves = [Curve(str(c["id"])) for c in data["curves"]]
-        name = str(data.get("name", "scene"))
+            if type(e["curve"]) is not str:
+                raise ValueError(f"edge curve labels must be strings, got {e!r}")
+            edges.append(Edge(e["id"], (h1, h2), e["curve"], marker))
+        curves = [Curve(c["id"]) for c in data["curves"]]
+        name = data.get("name", "scene")
+        if not {str}.issuperset(map(type, (name, *(c.id for c in curves)))):
+            ids = [c.id for c in curves]
+            raise ValueError(f"the name and curve ids must be strings, got {name!r}, {ids!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidScene(f"malformed scene file: {exc}") from exc
     return Scene(name=name, vertices=vertices, edges=edges, curves=curves)
@@ -81,6 +90,6 @@ def save_scene(scene: Scene, path: Union[str, Path]) -> None:
 def load_scene(path: Union[str, Path]) -> Scene:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; too deep nesting
         raise InvalidScene(f"unreadable scene file: {exc}") from exc
     return scene_from_dict(data)

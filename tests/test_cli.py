@@ -244,8 +244,13 @@ def test_verify_bad_out_path(capsys):
 
 
 @pytest.mark.parametrize(
-    "content", [b'{"name": "cut", "vertices": [{"id": 0, "half', b'{"name": "\xff\xfe"}'],
-    ids=["truncated", "not-utf8"],
+    "content",
+    [
+        b'{"name": "cut", "vertices": [{"id": 0, "half',
+        b'{"name": "\xff\xfe"}',
+        b"[" * 200_000 + b"]" * 200_000,
+    ],
+    ids=["truncated", "not-utf8", "deeply-nested"],
 )
 @pytest.mark.parametrize("command", ["scene", "dt"])
 def test_unreadable_files_exit_2(capsys, tmp_path, command, content):
@@ -254,6 +259,14 @@ def test_unreadable_files_exit_2(capsys, tmp_path, command, content):
     assert main([command, "validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_empty_scene_validate_exits_1(capsys, tmp_path):
+    path = _write_scene(tmp_path / "empty.json", [], [], [])
+    code, out = run(capsys, "scene", "validate", path)
+    assert code == 1
+    assert "connected: False  cellular: False" in out
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_torus_profile_empty_range_exits_2(capsys):

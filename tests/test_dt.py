@@ -14,7 +14,6 @@ from curvesys.dtcoords import (
     dt_from_dict,
     dt_to_dict,
     load_dt,
-    pants_curve_intersection,
     save_dt,
     solve_twists,
     twist_multiply,
@@ -110,16 +109,6 @@ def test_wrong_lengths():
 # ----------------------------------------------------------------------
 
 
-def test_pants_curve_intersection():
-    x = DTCoords(m=(2, 0, 0), t=(0, 0, 0), b=())
-    assert pants_curve_intersection(x, 1) == 2
-    assert pants_curve_intersection(x, 2) == 0
-    with pytest.raises(UnknownCurveIndex):
-        pants_curve_intersection(x, 4)
-    with pytest.raises(UnknownCurveIndex):
-        pants_curve_intersection(x, 0)
-
-
 def test_twist_multiply():
     x = DTCoords(m=(2, 0, 0), t=(1, 0, 1), b=())
     assert twist_multiply(x, (2, 0, 0)).t == (3, 0, 1)
@@ -134,6 +123,10 @@ def test_dehn_twist():
     assert dehn_twist(x, 2, "positive") == x
     assert dehn_twist(x, 2, "negative") == x
     assert dehn_twist(dehn_twist(x, 1, "positive"), 1, "negative") == x
+    with pytest.raises(UnknownCurveIndex):
+        dehn_twist(x, 4)
+    with pytest.raises(UnknownCurveIndex):
+        dehn_twist(x, 0)
 
 
 def test_solve_twists():
@@ -226,3 +219,44 @@ def test_file_takes_plain_ints_only(tmp_path, name, key, index, value):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     assert main(["dt", "validate", str(path)]) == 2
+
+
+def _tables_as_objects(data):
+    return {k: {} for k in data}
+
+
+def _int_pants_id(data):
+    data["pants"][0]["id"] = 5
+    return data
+
+
+def _float_slot(data):
+    data["gluing"][0][0] = 5.0
+    return data
+
+
+def _list_slot(data):
+    data["gluing"][0][1] = ["Q.0"]
+    return data
+
+
+def _pair_as_object(data):
+    data["gluing"][0] = dict.fromkeys(data["gluing"][0])
+    return data
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_tables_as_objects, _int_pants_id, _float_slot, _list_slot, _pair_as_object],
+    ids=["tables-as-objects", "int-pants-id", "float-slot", "list-slot", "pair-as-object"],
+)
+def test_file_takes_lists_and_strings_only(tmp_path, capsys, corrupt):
+    """Tables that are not lists and pants ids or slot addresses that are not
+    strings are rejected, never coerced with str() (exit 2)."""
+    data = corrupt(dt_to_dict(*dt_decompositions()["genus2_closed"]))
+    with pytest.raises(CountMismatch, match="must be"):
+        dt_from_dict(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["dt", "validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

@@ -11,9 +11,7 @@ from curvesys.errors import (
     CurveSysError,
     ComponentHasCrossings,
     DanglingHalfEdge,
-    InvalidClass,
     InvalidCount,
-    MissingMarkers,
     NonAlternatingCrossing,
     NonCellular,
     ParallelSlopes,
@@ -32,12 +30,10 @@ from curvesys.scene import (
     components,
     corner_alternation_ok,
     crossing_count,
-    euler_genus,
     find_bigons,
     parallel_copies,
     resolve,
     scenes_isomorphic,
-    torus_class_of_component,
     trace_faces,
     trivial_components,
     validate,
@@ -181,7 +177,7 @@ def test_trace_faces_unit_grid():
     faces = trace_faces(torus_grid_scene(1, 0, 0, 1))
     assert len(faces) == 1
     assert faces[0].degree == 4
-    assert sorted(set(faces[0].side_curves())) == ["a", "b"]
+    assert sorted({c for _, c in faces[0].sides}) == ["a", "b"]
 
 
 def test_trace_faces_two_squares():
@@ -192,18 +188,31 @@ def test_trace_faces_two_squares():
 def test_faces_partition_half_edges():
     scene = torus_grid_scene(3, -2, 1, 4)
     seen = [h for f in trace_faces(scene) for h, _ in f.sides]
-    assert sorted(seen) == scene.half_edges()
+    assert sorted(seen) == sorted(h for e in scene.edges for h in e.half)
+
+
+def chi_genus(scene):
+    diag = validate(scene)
+    return diag.chi, diag.genus
 
 
 def test_euler_genus_examples():
-    assert euler_genus(torus_grid_scene(1, 0, 0, 1)) == (0, 1)
-    assert euler_genus(torus_grid_scene(3, 1, 1, 1)) == (0, 1)
-    assert euler_genus(genus2_filling_pair()) == (-2, 2)
+    assert chi_genus(torus_grid_scene(1, 0, 0, 1)) == (0, 1)
+    assert chi_genus(torus_grid_scene(3, 1, 1, 1)) == (0, 1)
+    assert chi_genus(genus2_filling_pair()) == (-2, 2)
 
 
 def test_euler_genus_rejects_disconnected():
     with pytest.raises(NonCellular):
-        euler_genus(trivial_component_scene())
+        validate(trivial_component_scene())
+
+
+def test_empty_scene_is_not_cellular():
+    empty = Scene("e", [], [], [])
+    with pytest.raises(NonCellular):
+        validate(empty)
+    diag = validate(empty, require_cellular=False)
+    assert not diag.connected and diag.genus is None and not diag.cellular
 
 
 # ----------------------------------------------------------------------
@@ -307,7 +316,7 @@ def test_resolve_disjoint_curves_is_relabel():
     assert sorted(c.id for c in out.curves) == ["a*c", "b"]
     assert census_classes(out, "a*c") == {normalize(1, 0): 2}
     # still cellular: nothing was smoothed
-    assert euler_genus(out) == (0, 1)
+    assert chi_genus(out) == (0, 1)
 
 
 def test_resolve_keeps_third_curve_crossings():
@@ -322,8 +331,6 @@ def test_resolve_keeps_third_curve_crossings():
     assert census_classes(out, "a*b") == {normalize(1, 1): 1}
     assert census_classes(out, "c") == {normalize(1, 1): 1}
     assert crossing_count(out, "a*b", "c") == 2
-    with pytest.raises(NonCellular):
-        euler_genus(out)
     with pytest.raises(NonCellular):
         validate(out)
     validate(out, require_cellular=False)
@@ -386,19 +393,16 @@ def test_trivial_components_face_criterion_without_markers():
     assert [c.curve for c in trivial_components(scene)] == ["c"]
 
 
-def test_torus_class_of_component():
-    scene = torus_grid_scene(1, 0, 0, 1)
-    cen = components(scene)
+def test_component_homology():
+    cen = components(torus_grid_scene(1, 0, 0, 1))
     by_curve = {c.curve: c for c in cen.components}
-    assert torus_class_of_component(scene, by_curve["a"]) == normalize(1, 0)
-    assert torus_class_of_component(scene, by_curve["b"]) == normalize(0, 1)
-    g2 = genus2_filling_pair()
-    with pytest.raises(MissingMarkers):
-        torus_class_of_component(g2, components(g2).components[0])
+    assert by_curve["a"].homology() == normalize(1, 0)
+    assert by_curve["b"].homology() == normalize(0, 1)
+    # No class without markers, nor for a null-homologous component.
+    assert components(genus2_filling_pair()).components[0].homology() is None
     ctrl = trivial_component_scene()
     circle = [c for c in components(ctrl).components if c.curve == "c"][0]
-    with pytest.raises(InvalidClass):
-        torus_class_of_component(ctrl, circle)
+    assert circle.marker_sum == (0, 0) and circle.homology() is None
 
 
 # ----------------------------------------------------------------------
@@ -455,7 +459,7 @@ def test_parallel_copies_genus2_triples_crossings():
     base = genus2_filling_pair()
     out = parallel_copies(base, "a", 3)
     validate(out, require_cellular=False)
-    assert euler_genus(out) == (-2, 2)
+    assert chi_genus(out) == (-2, 2)
     assert crossing_count(out, "a", "b") == 12
 
 
@@ -516,13 +520,28 @@ def test_canonical_form_is_deterministic():
 
 # Reference: the all-roots canonical form, kept as the oracle for the pruned
 # search.  It encodes each component from every half-edge and keeps the
-# smallest encoding, so it is canonical by construction.
+# smallest encoding, so it is canonical by construction.  It reads sigma and
+# alpha from the scene's own vertex and edge lists, not from the index that
+# the library builds and checks.
+
+
+def _rotation(scene):
+    """(sigma, alpha, edge) of every half-edge, as dicts."""
+    nxt = {h: v.cycle[i + 1 - len(v.cycle)] for v in scene.vertices for i, h in enumerate(v.cycle)}
+    par, edge = {}, {}
+    for e in scene.edges:
+        a, b = e.half
+        par[a], par[b] = b, a
+        edge[a] = edge[b] = e
+    return nxt, par, edge
 
 
 def reference_canonical_form(scene, match_curves=True):
+    rotation = _rotation(scene)
+    nxt, par, _ = rotation
     seen = set()
     comps = []
-    for h0 in scene.half_edges():
+    for h0 in sorted(nxt):
         if h0 in seen:
             continue
         orbit = set()
@@ -531,31 +550,32 @@ def reference_canonical_form(scene, match_curves=True):
             h = stack.pop()
             if h not in orbit:
                 orbit.add(h)
-                stack += [scene.partner(h), scene.ccw_next(h)]
+                stack += [par[h], nxt[h]]
         seen |= orbit
-        comps.append(min(_reference_encoding(scene, r, match_curves) for r in orbit))
+        comps.append(min(_reference_encoding(rotation, r, match_curves) for r in orbit))
     return tuple(sorted(comps))
 
 
-def _reference_encoding(scene, root, match_curves):
+def _reference_encoding(rotation, root, match_curves):
+    nxt, par, edge = rotation
     order = {root: 0}
     queue = [root]
     for h in queue:
-        for nb in (scene.ccw_next(h), scene.partner(h)):
+        for nb in (nxt[h], par[h]):
             if nb not in order:
                 order[nb] = len(order)
                 queue.append(nb)
     curve_token = {}
     rows = []
     for h in queue:
-        e = scene.edge_of(h)
+        e = edge[h]
         tok = e.curve if match_curves else curve_token.setdefault(e.curve, len(curve_token))
         if e.marker is None:
             mk = (0, 0, 0)
         else:
             p, q = e.marker if h == e.half[0] else (-e.marker[0], -e.marker[1])
             mk = (1, p, q)
-        rows.append((order[scene.ccw_next(h)], order[scene.partner(h)], tok, mk))
+        rows.append((order[nxt[h]], order[par[h]], tok, mk))
     return tuple(rows)
 
 
@@ -563,7 +583,7 @@ def _relabelled(scene, rng, rename=None):
     """Fresh random ids, rotated vertex cycles, randomly reversed edges (marker
     negated to match), shuffled lists, and curves renamed by ``rename``."""
     rename = rename or {}
-    halves = scene.half_edges()
+    halves = sorted(h for v in scene.vertices for h in v.cycle)
     hmap = dict(zip(halves, rng.sample(range(3 * len(halves) + 5), len(halves))))
     vids = rng.sample(range(3 * len(scene.vertices) + 5), len(scene.vertices))
     eids = rng.sample(range(3 * len(scene.edges) + 5), len(scene.edges))
@@ -703,6 +723,15 @@ def _theta_scene():  # two degree-3 vertices
     return _loose_scene([[0, 1, 2], [3, 5, 4]], [([0, 3], "a"), ([1, 4], "a"), ([2, 5], "b")])
 
 
+def _one_loop(vid=0, eid=0):  # one plain vertex on one edge
+    return Scene("m", [Vertex(vid, (0, 1))], [Edge(eid, (0, 1), "a")], [Curve("a")])
+
+
+def _grid_with_vertex_id(vid):
+    grid = torus_grid_scene(1, 0, 0, 1)
+    return Scene(grid.name, [Vertex(vid, v.cycle) for v in grid.vertices], grid.edges, grid.curves)
+
+
 @pytest.mark.parametrize(
     "probe",
     [
@@ -724,12 +753,16 @@ def _theta_scene():  # two degree-3 vertices
         lambda: components(Scene("m", [Vertex(0, (0, 1))], [Edge([0], (0, 1), "a")], [Curve("a")])),
         lambda: components(Scene("m", [Vertex(0, (0, 1))], [Edge(0, (0, 1), "a")], [Curve(["a"])])),
         lambda: components(Scene("m", [Vertex(0, (0, 1))], [Edge(0, (0, 1), ["a"])], [Curve("a")])),
+        *(lambda bad=bad: components(_one_loop(vid=bad)) for bad in ("x", 1.5, True)),
+        *(lambda bad=bad: components(_one_loop(eid=bad)) for bad in ("x", 1.5, True)),
+        lambda: resolve(_grid_with_vertex_id("x"), "a", "b"),
     ],
     ids=["degree1-components", "degree1-trivial", "degree1-bigons", "degree3-components",
          "degree3-canonical-form", "half-on-two-edges", "half-in-two-cycles", "short-marker",
          "unhashable-cycle-id", "cycle-not-a-sequence", "half-not-a-pair", "half-not-a-sequence",
          "unhashable-vertex-id", "unhashable-edge-id", "unhashable-curve-id",
-         "unhashable-edge-curve"],
+         "unhashable-edge-curve", "str-vertex-id", "float-vertex-id", "bool-vertex-id",
+         "str-edge-id", "float-edge-id", "bool-edge-id", "str-vertex-id-resolve"],
 )
 def test_malformed_scenes_raise_in_the_library(probe):
     with pytest.raises(CurveSysError):
@@ -784,7 +817,6 @@ def _every_operation(scene):
     yield lambda: validate(scene)
     yield lambda: validate(scene, require_cellular=False)
     yield lambda: trace_faces(scene)
-    yield lambda: euler_genus(scene)
     yield lambda: find_bigons(scene, "a", "b")
     yield lambda: find_bigons(scene, "a", "a")
     yield lambda: check_region_condition(scene, "a", "b", "c")
@@ -799,9 +831,7 @@ def _every_operation(scene):
     yield lambda: validate(parallel_copies(scene, "a", 2), require_cellular=False)
     yield lambda: canonical_form(scene, match_curves=False)
     yield lambda: scenes_isomorphic(scene, scene)
-    yield lambda: scene.half_edges()
     yield lambda: scene.max_ids()
-    yield lambda: [(scene.partner(h), scene.ccw_next(h), scene.edge_of(h)) for h in range(-1, 11)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -845,7 +875,7 @@ def test_trace_faces_hands_out_a_fresh_list():
     assert trace_faces(scene) == expected
 
 
-_INDEX_PARTS = ("nxt", "par", "edge", "deg", "vid", "curves")
+_INDEX_PARTS = ("nxt", "par", "edge", "deg", "curves")
 
 
 def _assert_derived_index_is_checked_index(out):

@@ -106,6 +106,66 @@ def test_loader_takes_plain_ints_only(tmp_path, capsys, path, value):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def _set(path, value):
+    def corrupt(d):
+        target = d
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return d
+
+    return corrupt
+
+
+def _relabel_curve(new):
+    def corrupt(d):
+        for e in d["edges"]:
+            e["curve"] = new if e["curve"] == "a" else e["curve"]
+        d["curves"][0]["id"] = new
+        return d
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda d: {**d, "vertices": {}, "edges": {}, "curves": {}},
+        _set(("vertices",), {}),
+        _set(("edges",), {}),
+        _set(("name",), 5),
+        _set(("name",), ["a"]),
+        _set(("curves", 0, "id"), 5),
+        _set(("edges", 0, "curve"), ["a"]),
+        _relabel_curve(["a"]),
+        _relabel_curve(5),
+    ],
+    ids=[
+        "tables-as-objects",
+        "vertices-as-object",
+        "edges-as-object",
+        "name-int",
+        "name-list",
+        "curve-id-int",
+        "edge-curve-list",
+        "curve-relabelled-list",
+        "curve-relabelled-int",
+    ],
+)
+def test_loader_takes_lists_and_strings_only(tmp_path, capsys, corrupt):
+    """Tables that are not lists and names or curve labels that are not
+    strings are rejected, never coerced with str(), both by the loader and at
+    the command line (exit 2)."""
+    d = corrupt(scene_to_dict(torus_grid_scene(1, 0, 0, 1)))
+    with pytest.raises(InvalidScene, match="must be"):
+        scene_from_dict(d)
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(d))
+    assert main(["scene", "validate", str(file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_shipped_corpus_matches_fresh_builds(tmp_path):
     """The constructors are deterministic: regenerating the whole corpus
     reproduces every shipped file byte for byte, and no file more or less."""
