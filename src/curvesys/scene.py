@@ -11,15 +11,15 @@ connected rotation system encodes a cellular embedding in the closed oriented
 surface of genus (2 - V + E - F) / 2.
 
 Every operation checks structure first, once per scene: the first one to
-touch a scene builds its half-edge index (sigma, alpha, edge and vertex
-degree of each half-edge) and, in the same pass, checks integer vertex and
-edge ids, half-edge bookkeeping, vertex degrees 2 or 4, alternating crossings
-and curve ids, raising a SceneError on the first violation.  No operation
-runs on a scene that failed the check.  A resolved scene is not checked again:
-``resolve`` derives its index from the input's checked one (sharing alpha) by
-a local rewrite that keeps every structural invariant.  Faces, strand
-components and graph-component orbits are derived from the index at most once
-per scene and kept on it.
+touch a scene builds its dart index (edge k owns darts 2k and 2k + 1, so alpha
+is p ^ 1) and in the same pass checks integer ids, half-edges and markers,
+half-edge bookkeeping, vertex degrees 2 or 4, alternating crossings and curve
+ids, raising a SceneError on the first violation.  No operation runs on a
+scene that failed the check.  ``resolve`` derives its output's index from the
+input's checked one by a local rewrite of sigma and degrees, and builds the
+output's vertex and edge records only when read, holding its input until then.
+Faces, strand components and graph-component orbits are derived from the
+index at most once per scene and kept on it.
 
 Cellularity is stricter, and only ``validate`` demands it: the scene must be
 connected (one graph component, so not empty), and a scene carrying homology
@@ -33,6 +33,7 @@ them as ``NonCellular`` unless asked not to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
@@ -73,7 +74,7 @@ __all__ = [
 ]
 
 Marker = Tuple[int, int]
-Cycle = Tuple[int, ...]  # half-edges of one face, orbit or strand, in order
+Cycle = Tuple[int, ...]  # darts of one face, orbit or strand, in order
 
 
 @dataclass(frozen=True)
@@ -99,12 +100,12 @@ class Curve:
 class Scene:
     """An immutable rotation system with curve-labelled edges.
 
-    Construction only stores the parts.  The first operation on the scene
-    builds its half-edge index and checks its structure; :func:`validate`
-    adds the Euler bookkeeping and the cellularity check.
+    Construction only stores the parts (a resolved scene builds its records on
+    first read).  The first operation builds the dart index and checks the
+    structure; :func:`validate` adds the Euler bookkeeping and cellularity.
     """
 
-    __slots__ = ("name", "vertices", "edges", "curves", "_index")
+    __slots__ = ("name", "curves", "_records", "_index")
 
     def __init__(
         self,
@@ -114,19 +115,23 @@ class Scene:
         curves: Iterable[Curve],
     ) -> None:
         self.name = name
-        self.vertices: Tuple[Vertex, ...] = tuple(vertices)
-        self.edges: Tuple[Edge, ...] = tuple(edges)
+        self._records = (tuple(vertices), tuple(edges))  # or resolve's builder, until read
         self.curves: Tuple[Curve, ...] = tuple(curves)
         self._index: Optional[_Index] = None
 
-    def has_markers(self) -> bool:
-        return bool(self.edges) and all(e.marker is not None for e in self.edges)
+    vertices = property(lambda self: self._read()[0])
+    edges = property(lambda self: self._read()[1])
+
+    def _read(self) -> Tuple[Tuple[Vertex, ...], Tuple[Edge, ...]]:
+        if callable(self._records):
+            self._records = self._records()
+        return self._records
 
     def max_ids(self) -> Tuple[int, int, int]:
         """(max vertex id, max edge id, max half-edge id), -1 when empty."""
         mv = max((v.id for v in self.vertices), default=-1)
         me = max((e.id for e in self.edges), default=-1)
-        mh = max(_index(self).nxt, default=-1)
+        mh = max(_index(self).hid, default=-1)
         return mv, me, mh
 
     def __repr__(self) -> str:
@@ -191,26 +196,33 @@ class SceneDiagnostics:
 
 
 # ======================================================================
-# The half-edge index and what is derived from it
+# The dart index and what is derived from it
 # ======================================================================
 
 
 class _Index:
-    """sigma (``nxt``), alpha (``par``), edge (``edge``) and vertex degree
-    (``deg``) of every half-edge, plus the scene's curve ids; the faces, orbits
-    and strands derived from it are filled in on first use."""
+    """The scene as a combinatorial map over darts: edge k of ``scene.edges``
+    owns darts 2k (its ``half[0]``) and 2k + 1 (its ``half[1]``), so alpha is
+    ``p ^ 1``, the edge of p is ``p >> 1``, and the marker along p is negated
+    when p is odd.  Faces, orbits and strand walks are tuples of darts."""
 
-    __slots__ = ("nxt", "par", "edge", "deg", "curves", "faces", "orbits", "strands")
+    __slots__ = ("nxt", "deg", "hid", "eid", "curve", "marker", "by_hid", "by_eid", "curves",
+                 "nv", "marked", "faces", "orbits", "strands")
 
-    def __init__(self, nxt, par, edge, deg, curves) -> None:
-        self.nxt: Dict[int, int] = nxt
-        self.par: Dict[int, int] = par
-        self.edge: Dict[int, Edge] = edge
-        self.deg: Dict[int, int] = deg
-        self.curves: Set[str] = curves
-        self.faces: Optional[Tuple[Cycle, ...]] = None
-        self.orbits: Optional[Tuple[Cycle, ...]] = None
-        self.strands: Optional[Tuple[ComponentCensus, Tuple[Cycle, ...]]] = None
+    def __init__(self, nxt, deg, hid, eid, curve, marker, by_hid, by_eid, curves, nv, marked):
+        self.nxt: List[int] = nxt  # per dart: sigma, the ccw-next dart at its vertex
+        self.deg: List[int] = deg  # per dart: the degree of its vertex
+        self.hid: List[int] = hid  # per dart: its half-edge id
+        self.eid: List[int] = eid  # per edge: its id
+        self.curve: List[str] = curve  # per edge: its curve id
+        self.marker: List[Optional[Marker]] = marker  # per edge: its marker or None
+        self.by_hid: List[int] = by_hid  # the darts in half-edge id order, where faces start
+        self.by_eid: List[int] = by_eid  # the edges in edge id order, where strands start
+        self.curves: Set[str] = curves  # the scene's curve ids
+        self.nv: int = nv  # the number of vertices
+        self.marked: bool = marked  # there are edges and every one carries a marker
+        # faces, orbits and (census, walks) of strands, derived on first use
+        self.faces = self.orbits = self.strands = None
 
 
 def _index(scene: Scene) -> _Index:
@@ -221,85 +233,94 @@ def _index(scene: Scene) -> _Index:
 
 
 def _build_index(scene: Scene) -> _Index:
-    """Index the half-edges of a scene, checking its structure on the way."""
+    """Index the darts of a scene, checking its structure on the way."""
+    vertices, edges = scene.vertices, scene.edges
     try:
         curves = {c.id for c in scene.curves}
-        vertex_ids = {v.id for v in scene.vertices}
-        edge_ids = {e.id for e in scene.edges}
-        edge_curves = {e.curve for e in scene.edges}
+        vertex_ids = {v.id for v in vertices}
+        eid = [e.id for e in edges]
+        curve = [e.curve for e in edges]
+        edge_ids, edge_curves = set(eid), set(curve)
     except TypeError:
         raise InvalidScene("vertex, edge and curve ids must be hashable") from None
-    if len(vertex_ids) != len(scene.vertices):
+    if len(vertex_ids) != len(vertices):
         raise InvalidScene("duplicate vertex ids")
-    if len(edge_ids) != len(scene.edges):
+    if len(edge_ids) != len(edges):
         raise InvalidScene("duplicate edge ids")
     if len(curves) != len(scene.curves):
         raise InvalidScene("duplicate curve ids")
     if not edge_curves <= curves:
-        e = next(e for e in scene.edges if e.curve not in curves)
+        e = next(e for e in edges if e.curve not in curves)
         raise InvalidScene(f"edge {e.id} references unknown curve {e.curve!r}")
 
-    par: Dict[int, int] = {}
-    edge: Dict[int, Edge] = {}
-    for e in scene.edges:
-        if type(e.id) is not int:  # bool is not int
+    dart: Dict[int, int] = {}  # half-edge id -> dart, only while building
+    for k, e in enumerate(edges):  # type(x) is int throughout: bool is not int
+        if type(e.id) is not int:
             raise InvalidScene(f"edge id {e.id!r} is not an integer")
         try:
             a, b = e.half
         except (TypeError, ValueError):
             a = b = None
-        if not isinstance(a, int) or not isinstance(b, int):
+        if type(a) is not int or type(b) is not int:
             raise InvalidScene(f"edge {e.id} needs a pair of integer half-edge ids, got {e.half!r}")
         if e.marker is not None:
             try:
                 p, q = e.marker
             except (TypeError, ValueError):
                 p = q = None
-            if not isinstance(p, int) or not isinstance(q, int):
+            if type(p) is not int or type(q) is not int:
                 raise InvalidScene(f"edge {e.id} has a non-integer marker {e.marker!r}")
         if a == b:
             raise DanglingHalfEdge(f"edge {e.id} repeats half-edge {a}")
-        if a in edge or b in edge:
-            raise DanglingHalfEdge(f"half-edge {a if a in edge else b} belongs to two edges")
-        par[a] = b
-        par[b] = a
-        edge[a] = edge[b] = e
+        if a in dart or b in dart:
+            raise DanglingHalfEdge(f"half-edge {a if a in dart else b} belongs to two edges")
+        dart[a] = 2 * k
+        dart[b] = 2 * k + 1
+    hid = list(dart)  # in dart order, as inserted
 
-    nxt: Dict[int, int] = {}
-    deg: Dict[int, int] = {}
-    for v in scene.vertices:
+    nxt = [0] * len(hid)
+    deg = [0] * len(hid)  # 0 marks a dart in no vertex cycle yet
+    for v in vertices:
         if type(v.id) is not int:
             raise InvalidScene(f"vertex id {v.id!r} is not an integer")
         cycle = v.cycle
         try:
-            labels = [edge[h].curve for h in cycle]
+            ds = [dart[h] for h in cycle]
         except KeyError as exc:
             raise DanglingHalfEdge(
                 f"half-edge {exc.args[0]} is in a vertex cycle but on no edge"
             ) from None
         except TypeError:  # not a sequence, or an unhashable id
             raise InvalidScene(f"vertex {v.id} has a malformed half-edge cycle {cycle!r}") from None
-        d = len(cycle)
+        d = len(ds)
         if d == 4:
-            if not labels[0] == labels[2] != labels[1] == labels[3]:
+            if not curve[ds[0] >> 1] == curve[ds[2] >> 1] != curve[ds[1] >> 1] == curve[ds[3] >> 1]:
+                labels = [curve[p >> 1] for p in ds]
                 raise NonAlternatingCrossing(
                     f"vertex {v.id} has curve pattern {labels}, expected A,B,A,B"
                 )
         elif d != 2:
             raise InvalidScene(f"vertex {v.id} has degree {d}, expected 2 or 4")
-        elif labels[0] != labels[1]:
-            raise InvalidScene(
-                f"plain vertex {v.id} joins different curves {labels[0]!r}, {labels[1]!r}"
-            )
-        for i, h in enumerate(cycle):
-            if h in nxt:
-                raise DanglingHalfEdge(f"half-edge {h} sits in two vertex cycles")
-            nxt[h] = cycle[i + 1 - d]
-            deg[h] = d
-    if len(nxt) != len(edge):
-        h = next(h for h in edge if h not in nxt)
+        elif curve[ds[0] >> 1] != curve[ds[1] >> 1]:
+            a, b = (curve[p >> 1] for p in ds)
+            raise InvalidScene(f"plain vertex {v.id} joins different curves {a!r}, {b!r}")
+        q = ds[0]
+        for p in reversed(ds):
+            if deg[p]:
+                raise DanglingHalfEdge(f"half-edge {hid[p]} sits in two vertex cycles")
+            nxt[p], deg[p] = q, d
+            q = p
+    if {type(h) for v in vertices for h in v.cycle} - {int}:  # True and 1.0 find half-edge 1
+        v = next(v for v in vertices if any(type(h) is not int for h in v.cycle))
+        raise InvalidScene(f"vertex {v.id} has a malformed half-edge cycle {v.cycle!r}")
+    if 0 in deg:
+        h = hid[deg.index(0)]
         raise DanglingHalfEdge(f"half-edge {h} is on an edge but in no vertex cycle")
-    return _Index(nxt, par, edge, deg, curves)
+    marker = [e.marker for e in edges]
+    by_hid = sorted(range(len(hid)), key=hid.__getitem__)
+    by_eid = sorted(range(len(eid)), key=eid.__getitem__)
+    marked = bool(edges) and None not in marker
+    return _Index(nxt, deg, hid, eid, curve, marker, by_hid, by_eid, curves, len(vertices), marked)
 
 
 def _require(scene: Scene, *curve_ids: str) -> _Index:
@@ -319,19 +340,19 @@ def _faces(scene: Scene) -> Tuple[Cycle, ...]:
 
 
 def _trace(ix: _Index) -> Tuple[Cycle, ...]:
-    """Orbits of h -> sigma(alpha(h)), each started at its smallest unused
-    half-edge id."""
-    nxt, par = ix.nxt, ix.par
+    """Orbits of p -> sigma(alpha(p)), each started at its unused dart of
+    smallest half-edge id."""
+    nxt = ix.nxt
     seen: Set[int] = set()
     faces: List[Cycle] = []
-    for start in sorted(nxt):
+    for start in ix.by_hid:
         if start in seen:
             continue
         face = [start]
-        h = nxt[par[start]]
-        while h != start:
-            face.append(h)
-            h = nxt[par[h]]
+        p = nxt[start ^ 1]
+        while p != start:
+            face.append(p)
+            p = nxt[p ^ 1]
         seen.update(face)
         faces.append(tuple(face))
     return tuple(faces)
@@ -339,21 +360,21 @@ def _trace(ix: _Index) -> Tuple[Cycle, ...]:
 
 def _orbits(scene: Scene) -> Tuple[Cycle, ...]:
     """The graph components: orbits of <sigma, alpha>, each in breadth-first
-    order from its first half-edge."""
+    order from its first dart."""
     ix = _index(scene)
     if ix.orbits is None:
-        nxt, par = ix.nxt, ix.par
-        seen: Set[int] = set()
+        nxt = ix.nxt
+        seen = bytearray(len(nxt))
         orbits: List[Cycle] = []
-        for start in nxt:
-            if start in seen:
+        for start in range(len(nxt)):
+            if seen[start]:
                 continue
-            seen.add(start)
+            seen[start] = 1
             orbit = [start]
-            for h in orbit:
-                for x in (nxt[h], par[h]):
-                    if x not in seen:
-                        seen.add(x)
+            for p in orbit:
+                for x in (nxt[p], p ^ 1):
+                    if not seen[x]:
+                        seen[x] = 1
                         orbit.append(x)
             orbits.append(tuple(orbit))
         ix.orbits = tuple(orbits)
@@ -361,60 +382,60 @@ def _orbits(scene: Scene) -> Tuple[Cycle, ...]:
 
 
 def _strands(scene: Scene) -> Tuple[ComponentCensus, Tuple[Cycle, ...]]:
-    """The component census and, per component, the half-edge by which the
-    walk enters each of its edges."""
+    """The component census and, per component, the dart by which the walk
+    enters each of its edges."""
     ix = _index(scene)
     if ix.strands is None:
-        ix.strands = _walk_strands(scene, ix)
+        ix.strands = _walk_strands(ix)
     return ix.strands
 
 
-def _walk_strands(scene: Scene, ix: _Index) -> Tuple[ComponentCensus, Tuple[Cycle, ...]]:
+def _walk_strands(ix: _Index) -> Tuple[ComponentCensus, Tuple[Cycle, ...]]:
     """Walk every curve's closed strands.  Each walk starts at the smallest
     unvisited edge id, entering by that edge's first half-edge, and goes
-    straight on at every vertex: to the other half-edge at a plain vertex,
-    to the opposite one at a crossing."""
-    nxt, par, edge, deg = ix.nxt, ix.par, ix.edge, ix.deg
-    visited: Set[int] = set()
+    straight on at every vertex: to the other dart at a plain vertex, to the
+    opposite one at a crossing."""
+    nxt, deg, eid, marker = ix.nxt, ix.deg, ix.eid, ix.marker
+    visited = bytearray(len(eid))
     comps: List[Component] = []
     walks: List[Cycle] = []
-    for e0 in sorted(scene.edges, key=lambda e: e.id):
-        if e0.id in visited:
+    for k0 in ix.by_eid:
+        if visited[k0]:
             continue
-        start = h = e0.half[0]
+        start = p = 2 * k0
         entries: List[int] = []
         edge_ids: List[int] = []
         marked, sx, sy = True, 0, 0
         while True:
-            e = edge[h]
-            entries.append(h)
-            edge_ids.append(e.id)
-            m = e.marker
+            k = p >> 1
+            visited[k] = 1
+            entries.append(p)
+            edge_ids.append(eid[k])
+            m = marker[k]
             if m is None:
                 marked = False
-            elif h == e.half[0]:
-                sx, sy = sx + m[0], sy + m[1]
-            else:
+            elif p & 1:
                 sx, sy = sx - m[0], sy - m[1]
-            x = par[h]
-            h = nxt[x] if deg[x] == 2 else nxt[nxt[x]]
-            if h == start:
+            else:
+                sx, sy = sx + m[0], sy + m[1]
+            x = p ^ 1
+            p = nxt[x] if deg[x] == 2 else nxt[nxt[x]]
+            if p == start:
                 break
-        visited.update(edge_ids)
-        comps.append(Component(e0.curve, tuple(edge_ids), (sx, sy) if marked else None))
+        comps.append(Component(ix.curve[k0], tuple(edge_ids), (sx, sy) if marked else None))
         walks.append(tuple(entries))
     return ComponentCensus(tuple(comps)), tuple(walks)
 
 
 def _face(ix: _Index, cycle: Cycle) -> Face:
-    return Face(tuple((h, ix.edge[h].curve) for h in cycle))
+    return Face(tuple((ix.hid[p], ix.curve[p >> 1]) for p in cycle))
 
 
 def _faces_on(scene: Scene, ix: _Index, degree: int, curves: Set[str]) -> List[Cycle]:
     """The faces of the given degree whose sides lie on exactly these curves."""
-    edge = ix.edge
+    curve = ix.curve
     return [
-        f for f in _faces(scene) if len(f) == degree and {edge[h].curve for h in f} == curves
+        f for f in _faces(scene) if len(f) == degree and {curve[p >> 1] for p in f} == curves
     ]
 
 
@@ -441,8 +462,9 @@ def validate(scene: Scene, require_cellular: bool = True) -> SceneDiagnostics:
                 f"expected {c.expected_components}"
             )
 
+    ix = _index(scene)
     faces = _faces(scene)
-    v, e, f = len(scene.vertices), len(scene.edges), len(faces)
+    v, e, f = ix.nv, len(ix.eid), len(faces)
     chi = v - e + f
     connected = len(_orbits(scene)) == 1
     genus: Optional[int] = None
@@ -450,7 +472,7 @@ def validate(scene: Scene, require_cellular: bool = True) -> SceneDiagnostics:
         if chi % 2 != 0 or chi > 2:
             raise NonOrientableOrCorrupt(f"connected scene with chi = {chi}")
         genus = (2 - chi) // 2
-    cellular = connected and (genus == 1 if scene.has_markers() else True)
+    cellular = connected and (genus == 1 if ix.marked else True)
 
     if require_cellular and not cellular:
         if not connected:
@@ -539,12 +561,12 @@ def components(scene: Scene) -> ComponentCensus:
 def crossing_count(scene: Scene, curve_a: str, curve_b: str) -> int:
     """Number of 4-valent vertices where the two curves cross."""
     ix = _require(scene, curve_a, curve_b)
-    edge, deg, pair = ix.edge, ix.deg, (curve_a, curve_b)
-    # A crossing's two curves differ, so both in the pair means exactly the pair.
-    return sum(
-        deg[v.cycle[0]] == 4 and edge[v.cycle[0]].curve in pair and edge[v.cycle[1]].curve in pair
-        for v in scene.vertices
-    )
+    nxt, curve, darts = ix.nxt, ix.curve, 0
+    # Curves alternate at a crossing: two of its curve_a darts have ccw-next on curve_b.
+    for p, d in enumerate(ix.deg):
+        if d == 4 and curve[p >> 1] == curve_a and curve[nxt[p] >> 1] == curve_b:
+            darts += 1
+    return darts // 2
 
 
 def trivial_components(
@@ -563,7 +585,7 @@ def trivial_components(
     census, walks = _strands(scene)
     out: List[Component] = []
     for comp, walk in zip(census.components, walks):
-        free = all(ix.deg[ix.par[h]] == 2 for h in walk)
+        free = all(ix.deg[p ^ 1] == 2 for p in walk)
         if curves is None:
             if not free:
                 continue
@@ -579,7 +601,7 @@ def trivial_components(
                 out.append(comp)
             continue
         edge_multiset = sorted(comp.edges)
-        if any(sorted(ix.edge[h].id for h in f) == edge_multiset for f in _faces(scene)):
+        if any(sorted(ix.eid[p >> 1] for p in f) == edge_multiset for f in _faces(scene)):
             out.append(comp)
     return out
 
@@ -613,9 +635,9 @@ def resolve(
     as one system.
 
     The returned scene carries an index derived from the input's checked one
-    and is not checked again: alpha is shared, and sigma and degrees change
-    only where a crossing's 4-cycle becomes two 2-cycles on fresh vertex ids.
-    Edges of the pair move to the merged curve; others are reused.
+    and is not checked again: it shares every column but sigma, degrees and
+    edge curves, which change only where the pair crosses.  Its vertex and edge
+    records are built on first read, and until then it holds the input scene.
     """
     if convention not in _CONVENTIONS:
         raise ValueError(f"convention must be one of {_CONVENTIONS}, got {convention!r}")
@@ -631,36 +653,45 @@ def resolve(
     merged = _fresh_curve_id(ix, f"{from_curve}*{to_curve}")
     step = 1 if convention == "after" else -1
 
-    edge, nxt, deg = ix.edge, dict(ix.nxt), dict(ix.deg)
-    next_vid = max((v.id for v in scene.vertices), default=-1) + 1
-    new_vertices: List[Vertex] = []
-    for v in scene.vertices:
-        c = v.cycle
-        if ix.deg[c[0]] != 4 or edge[c[0]].curve not in pair or edge[c[1]].curve not in pair:
-            new_vertices.append(v)
-            continue
-        first = 0 if edge[c[0]].curve == to_curve else 1
-        for i in (first, first + 2):
-            h, mate = c[i], c[(i + step) % 4]
-            new_vertices.append(Vertex(next_vid, (h, mate)))
-            nxt[h], nxt[mate] = mate, h
-            deg[h] = deg[mate] = 2
-            next_vid += 1
+    # At each crossing of the pair, each 'to' dart p is joined with its
+    # ccw-next (after) or ccw-previous (before) dart, which is on 'from'.
+    old_nxt, nxt, deg, curve = ix.nxt, ix.nxt[:], ix.deg[:], ix.curve
+    for p, d in enumerate(ix.deg):
+        if d == 4 and curve[p >> 1] == to_curve and curve[old_nxt[p] >> 1] == from_curve:
+            mate = old_nxt[p] if step == 1 else old_nxt[old_nxt[old_nxt[p]]]
+            nxt[p], nxt[mate] = mate, p
+            deg[p] = deg[mate] = 2
 
-    new_edges = [
-        Edge(e.id, e.half, merged, e.marker) if e.curve in pair else e for e in scene.edges
-    ]
-    new_edge = {h: e for e in new_edges for h in e.half}
     new_curves = [c for c in scene.curves if c.id not in pair]
     new_curves.append(Curve(merged, None))
-    out = Scene(
-        name=f"resolve({scene.name},{from_curve}->{to_curve})",
-        vertices=new_vertices,
-        edges=new_edges,
-        curves=new_curves,
+    out = Scene(f"resolve({scene.name},{from_curve}->{to_curve})", (), (), new_curves)
+    out._records = partial(_resolved_records, scene, pair, to_curve, step, merged)
+    nv = ix.nv + (ix.deg.count(4) - deg.count(4)) // 4  # one more per smoothed crossing
+    out._index = _Index(
+        nxt, deg, ix.hid, ix.eid, [merged if c in pair else c for c in curve], ix.marker,
+        ix.by_hid, ix.by_eid, (ix.curves - pair) | {merged}, nv, ix.marked,
     )
-    out._index = _Index(nxt, ix.par, new_edge, deg, (ix.curves - pair) | {merged})
     return out
+
+
+def _resolved_records(scene: Scene, pair: Set[str], to_curve: str, step: int, merged: str):
+    """The records of a resolved scene: each smoothed crossing of ``scene``
+    becomes two plain vertices on fresh ids, numbered in vertex order, and the
+    pair's edges move to the merged curve."""
+    curve_of = {h: e.curve for e in scene.edges for h in e.half}
+    next_vid = max((v.id for v in scene.vertices), default=-1) + 1
+    vertices: List[Vertex] = []
+    for v in scene.vertices:
+        c = v.cycle
+        if len(c) != 4 or curve_of[c[0]] not in pair or curve_of[c[1]] not in pair:
+            vertices.append(v)
+            continue
+        first = 0 if curve_of[c[0]] == to_curve else 1
+        for i in (first, first + 2):
+            vertices.append(Vertex(next_vid, (c[i], c[(i + step) % 4])))
+            next_vid += 1
+    edges = (Edge(e.id, e.half, merged, e.marker) if e.curve in pair else e for e in scene.edges)
+    return tuple(vertices), tuple(edges)
 
 
 def _fresh_curve_id(ix: _Index, base: str) -> str:
@@ -685,18 +716,18 @@ def corner_alternation_ok(
     if convention not in _CONVENTIONS:
         raise ValueError(f"convention must be one of {_CONVENTIONS}, got {convention!r}")
     ix = _require(scene, from_curve, to_curve)
-    nxt, par, edge, deg = ix.nxt, ix.par, ix.edge, ix.deg
+    nxt, deg, curve = ix.nxt, ix.deg, ix.curve
     pair = (from_curve, to_curve)
     for face in _faces(scene):
         states: List[bool] = []
         for h in face:
-            p = par[h]
-            if deg[p] != 4 or edge[p].curve not in pair or edge[nxt[p]].curve not in pair:
+            p = h ^ 1
+            if deg[p] != 4 or curve[p >> 1] not in pair or curve[nxt[p] >> 1] not in pair:
                 continue
             # Quadrant between p and ccw-next(p); it is closed iff that pair
             # is joined into a strand by the smoothing.
             q = p if convention == "after" else nxt[p]
-            states.append(edge[q].curve == to_curve)
+            states.append(curve[q >> 1] == to_curve)
         if len(states) >= 2:
             for i in range(len(states)):
                 if states[i - 1] == states[i]:
@@ -732,7 +763,7 @@ def parallel_copies(scene: Scene, curve_id: str, n: int) -> Scene:
     if n == 1:
         return scene
 
-    # Step i of the loop enters its edge by walk[i] and leaves by its partner.
+    # Step i of the loop enters its edge by dart walk[i] and leaves by its partner.
     comp, walk = census.components[mine[0]], walks[mine[0]]
     next_vid, next_eid, next_hid = (x + 1 for x in scene.max_ids())
 
@@ -743,23 +774,22 @@ def parallel_copies(scene: Scene, curve_id: str, n: int) -> Scene:
 
     m = len(walk)
     # Travel-oriented markers per step, copied onto every copy of that edge.
-    def travel_marker(edge: Edge, entry: int) -> Optional[Marker]:
-        if edge.marker is None:
-            return None
-        return edge.marker if entry == edge.half[0] else (-edge.marker[0], -edge.marker[1])
+    def travel_marker(entry: int) -> Optional[Marker]:
+        m = ix.marker[entry >> 1]
+        return (-m[0], -m[1]) if m is not None and entry & 1 else m
 
     copy_half_start = [[fresh_half() for _ in range(n)] for _ in range(m)]
     copy_half_end = [[fresh_half() for _ in range(n)] for _ in range(m)]
 
-    zero: Optional[Marker] = (0, 0) if scene.has_markers() else None
-    loop_halves = {h for e in walk for h in (e, ix.par[e])}
+    zero: Optional[Marker] = (0, 0) if ix.marked else None
+    loop_halves = {ix.hid[p] for e in walk for p in (e, e ^ 1)}
     removed_edges = set(comp.edges)
 
     new_vertices: List[Vertex] = [v for v in scene.vertices if loop_halves.isdisjoint(v.cycle)]
     new_edges: List[Edge] = [e for e in scene.edges if e.id not in removed_edges]
 
     for i, entry in enumerate(walk):
-        marker_i = travel_marker(ix.edge[entry], entry)
+        marker_i = travel_marker(entry)
         for j in range(n):
             new_edges.append(
                 Edge(next_eid, (copy_half_start[i][j], copy_half_end[i][j]), curve_id, marker_i)
@@ -772,7 +802,7 @@ def parallel_copies(scene: Scene, curve_id: str, n: int) -> Scene:
     for i, entry in enumerate(walk):
         j_in = i
         j_out = (i + 1) % m
-        if ix.deg[ix.par[entry]] == 2:
+        if ix.deg[entry ^ 1] == 2:
             for j in range(n):
                 extra_vertices.append(
                     Vertex(next_vid, (copy_half_end[j_in][j], copy_half_start[j_out][j]))
@@ -784,12 +814,12 @@ def parallel_copies(scene: Scene, curve_id: str, n: int) -> Scene:
         # which is where step i+1 enters.
         c_left = ix.nxt[walk[j_out]]
         c_right = ix.nxt[ix.nxt[c_left]]
-        other_curve = ix.edge[c_left].curve
+        other_curve = ix.curve[c_left >> 1]
         # Connector edges between consecutive copies, crossing right-to-left.
         conn_left: List[Optional[int]] = [None] * n
         conn_right: List[Optional[int]] = [None] * n
-        conn_right[0] = c_right
-        conn_left[n - 1] = c_left
+        conn_right[0] = ix.hid[c_right]
+        conn_left[n - 1] = ix.hid[c_left]
         for j in range(1, n):
             h_a, h_b = fresh_half(), fresh_half()
             new_edges.append(Edge(next_eid, (h_a, h_b), other_curve, zero))
@@ -851,7 +881,7 @@ def canonical_form(scene: Scene, match_curves: bool = True):
       Piperno, "Practical graph isomorphism, II", 2014).
     """
     ix = _index(scene)
-    face_len = {h: len(f) for f in _faces(scene) for h in f}
+    face_len = {p: len(f) for f in _faces(scene) for p in f}
     return tuple(
         sorted(_component_form(ix, orbit, face_len, match_curves) for orbit in _orbits(scene))
     )
@@ -860,24 +890,23 @@ def canonical_form(scene: Scene, match_curves: bool = True):
 def _component_form(
     ix: _Index, halves: Cycle, face_len_of: Dict[int, int], match_curves: bool
 ) -> Tuple:
-    """Canonical encoding of one graph component given its half-edges."""
+    """Canonical encoding of one graph component given its darts."""
     n = len(halves)
-    index = {h: i for i, h in enumerate(halves)}
-    nxt = [index[ix.nxt[h]] for h in halves]  # sigma, as positions in ``halves``
-    par = [index[ix.par[h]] for h in halves]  # alpha
-    deg = [ix.deg[h] for h in halves]
-    face_len = [face_len_of[h] for h in halves]
-    curve: List[str] = []
-    mark: List[Tuple[int, int, int]] = []  # marker oriented along the half-edge
-    for h in halves:
-        e = ix.edge[h]
-        curve.append(e.curve)
-        if e.marker is None:
+    index = {p: i for i, p in enumerate(halves)}
+    nxt = [index[ix.nxt[p]] for p in halves]  # sigma, as positions in ``halves``
+    par = [index[p ^ 1] for p in halves]  # alpha
+    deg = [ix.deg[p] for p in halves]
+    face_len = [face_len_of[p] for p in halves]
+    curve = [ix.curve[p >> 1] for p in halves]
+    mark: List[Tuple[int, int, int]] = []  # marker oriented along the dart
+    for p in halves:
+        m = ix.marker[p >> 1]
+        if m is None:
             mark.append((0, 0, 0))
-        elif e.half[0] == h:
-            mark.append((1, e.marker[0], e.marker[1]))
+        elif p & 1:
+            mark.append((1, -m[0], -m[1]))
         else:
-            mark.append((1, -e.marker[0], -e.marker[1]))
+            mark.append((1, m[0], m[1]))
 
     classes: Dict[Tuple, List[int]] = {}
     for i in range(n):
@@ -960,6 +989,6 @@ def _encode_rows(
 
 def scenes_isomorphic(a: Scene, b: Scene, match_curves: bool = True) -> bool:
     """Isomorphism of labelled rotation systems (markers included)."""
-    if len(a.vertices) != len(b.vertices) or len(a.edges) != len(b.edges):
+    if _index(a).nv != _index(b).nv or len(_index(a).eid) != len(_index(b).eid):
         return False
     return canonical_form(a, match_curves) == canonical_form(b, match_curves)

@@ -1,5 +1,7 @@
 """Scene engine: grids, faces, resolution, census, copies, isomorphism."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -38,6 +40,7 @@ from curvesys.scene import (
     trivial_components,
     validate,
 )
+from curvesys.sceneio import scene_to_dict
 from curvesys.torus import intersection, multiply, normalize, signed_power_multiply
 
 
@@ -334,6 +337,22 @@ def test_resolve_keeps_third_curve_crossings():
     with pytest.raises(NonCellular):
         validate(out)
     validate(out, require_cellular=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(vectors, min_size=3, max_size=3), st.permutations("abc"))
+def test_resolve_matches_product_beside_a_third_family(vecs, order):
+    """Differential: resolving one ordered pair of three straight families
+    merges it into their torus product and leaves the third family alone."""
+    if all(v[0] * w[1] == v[1] * w[0] for v, w in zip(vecs, vecs[1:] + vecs[:1])):
+        return  # all parallel: no scene to build
+    scene = torus_lines_scene(list(zip("abc", vecs)))
+    frm, to, third = order
+    cls = {c: normalize(*v) for c, v in zip("abc", vecs)}
+    out = resolve(scene, frm, to)
+    prod = multiply(cls[frm], cls[to])
+    assert census_classes(out, f"{frm}*{to}") == {prod.primitive(): prod.multiplicity}
+    assert census_classes(out, third) == census_classes(scene, third)
 
 
 def test_resolve_refuses_bigons_and_unknown():
@@ -756,13 +775,23 @@ def _grid_with_vertex_id(vid):
         *(lambda bad=bad: components(_one_loop(vid=bad)) for bad in ("x", 1.5, True)),
         *(lambda bad=bad: components(_one_loop(eid=bad)) for bad in ("x", 1.5, True)),
         lambda: resolve(_grid_with_vertex_id("x"), "a", "b"),
+        lambda: components(
+            Scene("m", [Vertex(0, (0, 1))], [Edge(0, (False, 1), "a")], [Curve("a")])
+        ),
+        lambda: components(
+            Scene("m", [Vertex(0, (0, True))], [Edge(0, (0, 1), "a")], [Curve("a")])
+        ),
+        lambda: components(
+            Scene("m", [Vertex(0, (0, 1))], [Edge(0, (0, 1), "a", (True, 0))], [Curve("a")])
+        ),
     ],
     ids=["degree1-components", "degree1-trivial", "degree1-bigons", "degree3-components",
          "degree3-canonical-form", "half-on-two-edges", "half-in-two-cycles", "short-marker",
          "unhashable-cycle-id", "cycle-not-a-sequence", "half-not-a-pair", "half-not-a-sequence",
          "unhashable-vertex-id", "unhashable-edge-id", "unhashable-curve-id",
          "unhashable-edge-curve", "str-vertex-id", "float-vertex-id", "bool-vertex-id",
-         "str-edge-id", "float-edge-id", "bool-edge-id", "str-vertex-id-resolve"],
+         "str-edge-id", "float-edge-id", "bool-edge-id", "str-vertex-id-resolve",
+         "bool-half-edge", "bool-in-cycle", "bool-marker"],
 )
 def test_malformed_scenes_raise_in_the_library(probe):
     with pytest.raises(CurveSysError):
@@ -875,7 +904,9 @@ def test_trace_faces_hands_out_a_fresh_list():
     assert trace_faces(scene) == expected
 
 
-_INDEX_PARTS = ("nxt", "par", "edge", "deg", "curves")
+_INDEX_PARTS = (
+    "nxt", "deg", "hid", "eid", "curve", "marker", "by_hid", "by_eid", "curves", "nv", "marked",
+)
 
 
 def _assert_derived_index_is_checked_index(out):
@@ -889,7 +920,13 @@ def _assert_derived_index_is_checked_index(out):
         assert getattr(derived, part) == getattr(built, part), (out.name, part)
 
 
-def test_resolve_derives_the_checked_index(monkeypatch):
+@pytest.fixture(scope="module")
+def resolve_outputs():
+    """Every resolve output of ``suite_resolution_oracle(4)`` under both
+    conventions, then each ordered pair of a three-family scene resolved
+    under both conventions and resolved again with the third family, disjoint
+    curves, and a colliding merged id that takes the ``_fresh_curve_id``
+    path, resolved again."""
     import curvesys.harness as harness_module
 
     outputs = []
@@ -898,22 +935,62 @@ def test_resolve_derives_the_checked_index(monkeypatch):
         outputs.append(resolve(*args, **kwargs))
         return outputs[-1]
 
-    monkeypatch.setattr(harness_module, "resolve", recorded)
-    suite_resolution_oracle(4, convention="after")
-    suite_resolution_oracle(4, convention="before")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness_module, "resolve", recorded)
+        suite_resolution_oracle(4, convention="after")
+        suite_resolution_oracle(4, convention="before")
     assert len(outputs) == 4992
     three = torus_lines_scene([("a", (1, 0)), ("b", (0, 1)), ("c", (1, 1))])
     disjoint = torus_lines_scene([("a", (1, 0)), ("b", (0, 1)), ("c", (1, 0))])
     colliding = torus_lines_scene([("a", (1, 0)), ("b", (0, 1)), ("a*b", (1, 1))])
-    for frm, to in (("a", "b"), ("b", "c"), ("c", "a")):
+    for frm, to, third in (("a", "b", "c"), ("b", "c", "a"), ("c", "a", "b")):
         for convention in ("after", "before"):
             outputs.append(resolve(three, frm, to, convention=convention))
+            outputs.append(resolve(outputs[-1], f"{frm}*{to}", third, convention=convention))
     outputs.append(resolve(disjoint, "a", "c"))
     outputs.append(resolve(colliding, "a", "b"))
     assert "a*b2" in {c.id for c in outputs[-1].curves}  # the fresh-id path
     outputs.append(resolve(outputs[-1], "a*b2", "a*b"))  # a derived index, derived again
-    for out in outputs:
+    return outputs
+
+
+def test_resolve_derives_the_checked_index(resolve_outputs):
+    for out in resolve_outputs:
         _assert_derived_index_is_checked_index(out)
+
+
+# sha256 of the records of every scene in ``resolve_outputs`` as built eagerly
+# by resolve before records were built on first read; the two must agree.
+_RESOLVED_RECORDS_SHA256 = "e5f32c893ee546b57a83325d8a83da38d53b631a73c810f0a449cfbe83ac0ba6"
+
+
+def test_resolved_records_are_unchanged(resolve_outputs):
+    digest = hashlib.sha256()
+    for out in resolve_outputs:
+        digest.update(json.dumps(scene_to_dict(out), sort_keys=True).encode())
+    assert digest.hexdigest() == _RESOLVED_RECORDS_SHA256
+
+
+def test_resolved_records_are_built_only_when_read(monkeypatch):
+    import curvesys.scene as scene_module
+
+    built = []
+    real = scene_module._resolved_records
+
+    def counted(*args):
+        built.append(args[0])  # the input scene
+        return real(*args)
+
+    monkeypatch.setattr(scene_module, "_resolved_records", counted)
+    assert suite_resolution_oracle(2).ok
+    assert built == []
+    grid = torus_grid_scene(2, 1, -1, 2)
+    out = resolve(grid, "a", "b")
+    components(out), trivial_components(out), validate(out, require_cellular=False)
+    assert built == []
+    first = scene_to_dict(out)
+    assert built == [grid]
+    assert scene_to_dict(out) == first and built == [grid]
 
 
 @st.composite
