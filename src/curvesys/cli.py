@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from typing import Optional, Sequence, Tuple
 
 from . import harness
@@ -212,25 +213,26 @@ def _cmd_dt(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     lo, hi = args.n_range
-    reports = harness.run_all(
-        bound=args.bound,
-        n_min=lo,
-        n_max=hi,
-        gamma_bound=args.gamma_bound,
-        m_max=args.m_max,
-        trials=args.trials,
-        seed=args.seed,
-        conv_bound=args.conv_bound,
-        suites=args.suite,
-    )
-    for r in reports:
-        status = "ok" if r.ok else f"{len(r.failures)} FAILURE(S)"
-        print(f"{r.suite:20s} {r.cases:8d} cases  {r.millis:6d} ms  {status}")
-        for f in r.failures[:5]:
-            print(f"    {f.clause}: {f.inputs} -> {f.lhs} vs {f.rhs}")
-    total = sum(len(r.failures) for r in reports)
-    if args.out:
-        with open(args.out, "w") as fh:
+    # The report file is opened before any suite runs, so a bad path fails at once.
+    with open(args.out, "w") if args.out else nullcontext() as fh:
+        reports = harness.run_all(
+            bound=args.bound,
+            n_min=lo,
+            n_max=hi,
+            gamma_bound=args.gamma_bound,
+            m_max=args.m_max,
+            trials=args.trials,
+            seed=args.seed,
+            conv_bound=args.conv_bound,
+            suites=args.suite,
+        )
+        for r in reports:
+            status = "ok" if r.ok else f"{len(r.failures)} FAILURE(S)"
+            print(f"{r.suite:20s} {r.cases:8d} cases  {r.millis:6d} ms  {status}")
+            for f in r.failures[:5]:
+                print(f"    {f.clause}: {f.inputs} -> {f.lhs} vs {f.rhs}")
+        total = sum(len(r.failures) for r in reports)
+        if fh is not None:
             json.dump(harness.report_to_dict(reports), fh, indent=2, sort_keys=True)
             fh.write("\n")
     print(f"total: {total} failure(s)")

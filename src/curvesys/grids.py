@@ -18,6 +18,12 @@ families, where a linear relation between offsets can make lines concurrent)
 the constructor retries with fresh offsets.  Offset numerators grow
 geometrically so that no small integer combination of them vanishes
 identically; the built scene is always checked, never trusted.
+
+The builder makes no vertex or edge records.  Edge k owns half-edges 2k and
+2k + 1, so a half-edge id is its dart, and the scene receives the vertex
+cycles and per-edge curves and markers as columns.  ``scene`` checks them at
+construction with the vertex-cycle and curve-id checks it runs on records,
+and builds the records only when they are first read.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvalidScene, ParallelSlopes
-from .scene import Curve, Edge, Scene, Vertex
+from .scene import Curve, Scene, _dart_scene
 
 __all__ = ["torus_grid_scene", "torus_lines_scene"]
 
@@ -170,38 +176,39 @@ def _build(
         return None  # multiple point; retry with other offsets
 
     # Vertices at crossing points (sorted for determinism), then one plain
-    # vertex on every crossing-free line.  Half-edges at a crossing go in
-    # counterclockwise order of their outward directions.
+    # vertex on every crossing-free line.  Edge k owns half-edges 2k and
+    # 2k + 1; half-edges at a crossing go in counterclockwise order of their
+    # outward directions.
     vertex_id_of = {rep: vid for vid, rep in enumerate(sorted(points))}
     rank = _ccw_rank(d for _, u, _, _ in lines for d in (u, (-u[0], -u[1])))
     vertex_halves: List[List[Tuple[int, int]]] = [[] for _ in vertex_id_of]
-    plain: List[Vertex] = []
-    edges: List[Edge] = []
+    plain: List[Tuple[int, ...]] = []
+    curve: List[str] = []  # per edge
+    marker: List[Vec] = []  # per edge
     for (cid, (ux, uy), _, _), hits in zip(lines, on_line):
         if not hits:
-            h = 2 * len(edges)
-            plain.append(Vertex(len(vertex_id_of) + len(plain), (h, h + 1)))
-            edges.append(Edge(len(edges), (h, h + 1), cid, (ux, uy)))
+            h = 2 * len(curve)
+            plain.append((h, h + 1))
+            curve.append(cid)
+            marker.append((ux, uy))
             continue
         out_key, in_key = rank[(ux, uy)], rank[(-ux, -uy)]
         hits.sort()
         hits.append((hits[0][0] + n, hits[0][1]))  # wrap around the closed line
         for (t1, rep1), (t2, rep2) in zip(hits, hits[1:]):
-            h = 2 * len(edges)
+            h = 2 * len(curve)
             vertex_halves[vertex_id_of[rep1]].append((out_key, h))
             vertex_halves[vertex_id_of[rep2]].append((in_key, h + 1))
             mx, rx = divmod(rep1[0] + (t2 - t1) * ux - rep2[0], n)
             my, ry = divmod(rep1[1] + (t2 - t1) * uy - rep2[1], n)
             if rx or ry:  # pragma: no cover
                 raise InvalidScene("internal error: non-integral homology marker")
-            edges.append(Edge(len(edges), (h, h + 1), cid, (mx, my)))
+            curve.append(cid)
+            marker.append((mx, my))
 
-    vertices = [
-        Vertex(vid, tuple(h for _, h in sorted(halves)))
-        for vid, halves in enumerate(vertex_halves)
-    ]
+    cycles = [tuple(h for _, h in sorted(halves)) for halves in vertex_halves]
     curves = [Curve(cid, g) for cid, g, _, _ in fams]
-    return Scene(name=name, vertices=vertices + plain, edges=edges, curves=curves)
+    return _dart_scene(name, cycles + plain, curve, marker, curves)
 
 
 def _ccw_rank(dirs: Iterable[Vec]) -> Dict[Vec, int]:

@@ -15,11 +15,15 @@ touch a scene builds its dart index (edge k owns darts 2k and 2k + 1, so alpha
 is p ^ 1) and in the same pass checks integer ids, half-edges and markers,
 half-edge bookkeeping, vertex degrees 2 or 4, alternating crossings and curve
 ids, raising a SceneError on the first violation.  No operation runs on a
-scene that failed the check.  ``resolve`` derives its output's index from the
-input's checked one by a local rewrite of sigma and degrees, and builds the
-output's vertex and edge records only when read, holding its input until then.
-Faces, strand components and graph-component orbits are derived from the
-index at most once per scene and kept on it.
+scene that failed the check.  Scenes from the loader, ``parallel_copies`` and
+direct construction are checked on their vertex and edge records.  Two kinds
+of scene get their index without records.  The grid constructors hand over
+dart columns (half-edge id = dart), which are checked at construction by the
+same vertex-cycle and curve-id checks.  ``resolve`` derives its output's
+index from the input's checked one by a local rewrite of sigma and degrees,
+holding its input until the records are read.  Both build their vertex and
+edge records only when read.  Faces, strand components and graph-component
+orbits are derived from the index at most once per scene and kept on it.
 
 Cellularity is stricter, and only ``validate`` demands it: the scene must be
 connected (one graph component, so not empty), and a scene carrying homology
@@ -32,8 +36,10 @@ them as ``NonCellular`` unless asked not to.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import permutations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
@@ -100,9 +106,10 @@ class Curve:
 class Scene:
     """An immutable rotation system with curve-labelled edges.
 
-    Construction only stores the parts (a resolved scene builds its records on
-    first read).  The first operation builds the dart index and checks the
-    structure; :func:`validate` adds the Euler bookkeeping and cellularity.
+    Construction only stores the parts, and the first operation builds the
+    dart index and checks the structure; grids are checked as they are built,
+    and grids and resolved scenes build their records on first read.
+    :func:`validate` adds the Euler bookkeeping and cellularity.
     """
 
     __slots__ = ("name", "curves", "_records", "_index")
@@ -115,7 +122,7 @@ class Scene:
         curves: Iterable[Curve],
     ) -> None:
         self.name = name
-        self._records = (tuple(vertices), tuple(edges))  # or resolve's builder, until read
+        self._records = (tuple(vertices), tuple(edges))  # or a record builder, until read
         self.curves: Tuple[Curve, ...] = tuple(curves)
         self._index: Optional[_Index] = None
 
@@ -247,11 +254,7 @@ def _build_index(scene: Scene) -> _Index:
         raise InvalidScene("duplicate vertex ids")
     if len(edge_ids) != len(edges):
         raise InvalidScene("duplicate edge ids")
-    if len(curves) != len(scene.curves):
-        raise InvalidScene("duplicate curve ids")
-    if not edge_curves <= curves:
-        e = next(e for e in edges if e.curve not in curves)
-        raise InvalidScene(f"edge {e.id} references unknown curve {e.curve!r}")
+    _check_curves(curves, len(scene.curves), edge_curves, curve, eid)
 
     dart: Dict[int, int] = {}  # half-edge id -> dart, only while building
     for k, e in enumerate(edges):  # type(x) is int throughout: bool is not int
@@ -278,8 +281,27 @@ def _build_index(scene: Scene) -> _Index:
         dart[b] = 2 * k + 1
     hid = list(dart)  # in dart order, as inserted
 
-    nxt = [0] * len(hid)
-    deg = [0] * len(hid)  # 0 marks a dart in no vertex cycle yet
+    nxt, deg = _link_cycles(_vertex_darts(vertices, dart), curve, hid)
+    marker = [e.marker for e in edges]
+    by_hid = sorted(range(len(hid)), key=hid.__getitem__)
+    by_eid = sorted(range(len(eid)), key=eid.__getitem__)
+    marked = bool(edges) and None not in marker
+    return _Index(nxt, deg, hid, eid, curve, marker, by_hid, by_eid, curves, len(vertices), marked)
+
+
+def _check_curves(
+    curves: Set[str], declared: int, used: Set[str], curve: List[str], eid: Sequence[int]
+) -> None:
+    """The declared curve ids are distinct and name every edge's curve."""
+    if len(curves) != declared:
+        raise InvalidScene("duplicate curve ids")
+    if not used <= curves:
+        k = next(k for k, c in enumerate(curve) if c not in curves)
+        raise InvalidScene(f"edge {eid[k]} references unknown curve {curve[k]!r}")
+
+
+def _vertex_darts(vertices: Sequence[Vertex], dart: Dict[int, int]):
+    """(vertex id, its cycle as darts) per vertex, each checked as it is read."""
     for v in vertices:
         if type(v.id) is not int:
             raise InvalidScene(f"vertex id {v.id!r} is not an integer")
@@ -292,35 +314,75 @@ def _build_index(scene: Scene) -> _Index:
             ) from None
         except TypeError:  # not a sequence, or an unhashable id
             raise InvalidScene(f"vertex {v.id} has a malformed half-edge cycle {cycle!r}") from None
+        yield v.id, ds
+    # Once every cycle's shape is checked: True and 1.0 find half-edge 1.
+    if {type(h) for v in vertices for h in v.cycle} - {int}:
+        v = next(v for v in vertices if any(type(h) is not int for h in v.cycle))
+        raise InvalidScene(f"vertex {v.id} has a malformed half-edge cycle {v.cycle!r}")
+
+
+def _link_cycles(
+    cycles: Iterable[Tuple[int, Sequence[int]]], curve: List[str], hid: List[int]
+) -> Tuple[List[int], List[int]]:
+    """Sigma and per-dart degrees from (vertex id, darts) cycles, checking that
+    every vertex has degree 2 or 4, every crossing alternates between two
+    curves, every plain vertex stays on one curve, and every dart lies in
+    exactly one cycle.  Both the record check and the grid constructors use it."""
+    nxt = [0] * len(hid)
+    deg = [0] * len(hid)  # 0 marks a dart in no vertex cycle yet
+    for vid, ds in cycles:
         d = len(ds)
         if d == 4:
             if not curve[ds[0] >> 1] == curve[ds[2] >> 1] != curve[ds[1] >> 1] == curve[ds[3] >> 1]:
                 labels = [curve[p >> 1] for p in ds]
                 raise NonAlternatingCrossing(
-                    f"vertex {v.id} has curve pattern {labels}, expected A,B,A,B"
+                    f"vertex {vid} has curve pattern {labels}, expected A,B,A,B"
                 )
         elif d != 2:
-            raise InvalidScene(f"vertex {v.id} has degree {d}, expected 2 or 4")
+            raise InvalidScene(f"vertex {vid} has degree {d}, expected 2 or 4")
         elif curve[ds[0] >> 1] != curve[ds[1] >> 1]:
             a, b = (curve[p >> 1] for p in ds)
-            raise InvalidScene(f"plain vertex {v.id} joins different curves {a!r}, {b!r}")
+            raise InvalidScene(f"plain vertex {vid} joins different curves {a!r}, {b!r}")
         q = ds[0]
         for p in reversed(ds):
             if deg[p]:
                 raise DanglingHalfEdge(f"half-edge {hid[p]} sits in two vertex cycles")
             nxt[p], deg[p] = q, d
             q = p
-    if {type(h) for v in vertices for h in v.cycle} - {int}:  # True and 1.0 find half-edge 1
-        v = next(v for v in vertices if any(type(h) is not int for h in v.cycle))
-        raise InvalidScene(f"vertex {v.id} has a malformed half-edge cycle {v.cycle!r}")
     if 0 in deg:
         h = hid[deg.index(0)]
         raise DanglingHalfEdge(f"half-edge {h} is on an edge but in no vertex cycle")
-    marker = [e.marker for e in edges]
-    by_hid = sorted(range(len(hid)), key=hid.__getitem__)
-    by_eid = sorted(range(len(eid)), key=eid.__getitem__)
-    marked = bool(edges) and None not in marker
-    return _Index(nxt, deg, hid, eid, curve, marker, by_hid, by_eid, curves, len(vertices), marked)
+    return nxt, deg
+
+
+def _dart_scene(
+    name: str,
+    cycles: List[Tuple[int, ...]],
+    curve: List[str],
+    marker: List[Marker],
+    curves: Sequence[Curve],
+) -> Scene:
+    """A scene whose half-edge ids are its darts: edge k is (2k, 2k + 1) on
+    ``curve[k]`` with ``marker[k]``, and vertex k has cycle ``cycles[k]``.
+    It is checked now, on these columns, and builds its records on first read."""
+    out = Scene(name, (), (), curves)
+    ids = {c.id for c in out.curves}
+    eid = list(range(len(curve)))
+    _check_curves(ids, len(out.curves), set(curve), curve, eid)
+    hid = list(range(2 * len(curve)))
+    nxt, deg = _link_cycles(enumerate(cycles), curve, hid)
+    marked = bool(marker) and None not in marker
+    # Ids equal darts and edge numbers, so each id list is its own sorted order.
+    out._index = _Index(nxt, deg, hid, eid, curve, marker, hid, eid, ids, len(cycles), marked)
+    out._records = partial(_dart_records, cycles, curve, marker)
+    return out
+
+
+def _dart_records(cycles: List[Tuple[int, ...]], curve: List[str], marker: List[Marker]):
+    """The records of a scene built by :func:`_dart_scene`."""
+    vertices = tuple(Vertex(k, c) for k, c in enumerate(cycles))
+    edges = tuple(Edge(k, (2 * k, 2 * k + 1), c, m) for k, (c, m) in enumerate(zip(curve, marker)))
+    return vertices, edges
 
 
 def _require(scene: Scene, *curve_ids: str) -> _Index:
@@ -862,16 +924,20 @@ def canonical_form(scene: Scene, match_curves: bool = True):
     Each graph component is encoded by a breadth-first relabelling of its
     half-edges from a root; the lexicographically smallest encoding over the
     candidate roots wins, and the component encodings are sorted.  Curve
-    labels are kept literally when ``match_curves`` is true and canonicalized
-    by first visit otherwise.  Markers participate, oriented by the traversal.
+    labels are kept literally when ``match_curves`` is true.  Otherwise a curve
+    id is global, so it is renamed once for the whole scene: the curves on
+    edges are numbered 0..C-1 in order of (edge count, strand count), which is
+    invariant, and the smallest encoding over every numbering of tied curves
+    wins; that tries k! numberings for k tied curves.  Markers participate,
+    oriented by the traversal.
 
     Three devices keep the search close to linear in practice, and none lets
     ids leak into the result:
 
     * Root classes.  Every half-edge gets an isomorphism-invariant class
-      (vertex degree, face length, oriented marker, and the curve id when
-      ``match_curves``); roots come only from the class that is smallest by
-      (size, class).  That choice is itself invariant.
+      (vertex degree, face length, oriented marker and curve label); roots
+      come only from the class that is smallest by (size, class).  That
+      choice is itself invariant.
     * Early abandon.  Each encoding is compared row by row with the best so
       far while the search builds it, and dropped at the first larger row.
     * Automorphism pruning.  An encoding equal to the best maps one
@@ -882,22 +948,40 @@ def canonical_form(scene: Scene, match_curves: bool = True):
     """
     ix = _index(scene)
     face_len = {p: len(f) for f in _faces(scene) for p in f}
-    return tuple(
-        sorted(_component_form(ix, orbit, face_len, match_curves) for orbit in _orbits(scene))
+    orbits = _orbits(scene)
+    labellings = [ix.curve] if match_curves else _curve_numberings(scene, ix)
+    return min(
+        tuple(sorted(_component_form(ix, orbit, face_len, label) for orbit in orbits))
+        for label in labellings
     )
 
 
+def _curve_numberings(scene: Scene, ix: _Index):
+    """Per-edge curve numbers, one list for each bijection of the curves on
+    edges onto 0..C-1 that lists them by (edge count, strand count), with
+    every order of the curves that tie."""
+    strands = Counter(comp.curve for comp in components(scene).components)
+    tied: Dict[Tuple[int, int], List[str]] = {}
+    for cid, n in Counter(ix.curve).items():
+        tied.setdefault((n, strands[cid]), []).append(cid)
+    groups = [permutations(tied[key]) for key in sorted(tied)]
+    for choice in product(*groups):
+        number = {cid: k for k, cid in enumerate(c for group in choice for c in group)}
+        yield [number[c] for c in ix.curve]
+
+
 def _component_form(
-    ix: _Index, halves: Cycle, face_len_of: Dict[int, int], match_curves: bool
+    ix: _Index, halves: Cycle, face_len_of: Dict[int, int], label: List
 ) -> Tuple:
-    """Canonical encoding of one graph component given its darts."""
+    """Canonical encoding of one graph component given its darts and a curve
+    label per edge."""
     n = len(halves)
     index = {p: i for i, p in enumerate(halves)}
     nxt = [index[ix.nxt[p]] for p in halves]  # sigma, as positions in ``halves``
     par = [index[p ^ 1] for p in halves]  # alpha
     deg = [ix.deg[p] for p in halves]
     face_len = [face_len_of[p] for p in halves]
-    curve = [ix.curve[p >> 1] for p in halves]
+    curve = [label[p >> 1] for p in halves]
     mark: List[Tuple[int, int, int]] = []  # marker oriented along the dart
     for p in halves:
         m = ix.marker[p >> 1]
@@ -910,8 +994,7 @@ def _component_form(
 
     classes: Dict[Tuple, List[int]] = {}
     for i in range(n):
-        key = (deg[i], face_len[i], mark[i]) + ((curve[i],) if match_curves else ())
-        classes.setdefault(key, []).append(i)
+        classes.setdefault((deg[i], face_len[i], mark[i], curve[i]), []).append(i)
     roots = min(classes.items(), key=lambda kv: (len(kv[1]), kv[0]))[1]
 
     orbit_of = list(range(n))  # union-find over automorphism orbits
@@ -930,7 +1013,7 @@ def _component_form(
         if tried[r]:
             continue
         tried[r] = True
-        found = _encode_rows(root, nxt, par, curve, mark, match_curves, best)
+        found = _encode_rows(root, nxt, par, curve, mark, best)
         if found is None:
             continue
         rows, queue, tie = found
@@ -949,13 +1032,12 @@ def _encode_rows(
     root: int,
     nxt: List[int],
     par: List[int],
-    curve: List[str],
+    curve: List,
     mark: List[Tuple[int, int, int]],
-    match_curves: bool,
     best: Optional[List[Tuple]],
 ):
     """Breadth-first encoding from ``root``, one row per visited half-edge:
-    (position of ccw-next, position of partner, curve token, oriented marker).
+    (position of ccw-next, position of partner, curve label, oriented marker).
 
     Returns None as soon as a row makes the encoding larger than ``best``;
     otherwise (rows, visiting order, whether the rows equal ``best``).
@@ -964,7 +1046,6 @@ def _encode_rows(
     order[root] = 0
     queue = [root]
     rows: List[Tuple] = []
-    token: Dict[str, int] = {}
     tie = best is not None
     for h in queue:
         a = nxt[h]
@@ -975,8 +1056,7 @@ def _encode_rows(
         if order[b] < 0:
             order[b] = len(queue)
             queue.append(b)
-        c = curve[h] if match_curves else token.setdefault(curve[h], len(token))
-        row = (order[a], order[b], c, mark[h])
+        row = (order[a], order[b], curve[h], mark[h])
         if tie:
             other = best[len(rows)]
             if row != other:

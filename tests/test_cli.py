@@ -243,6 +243,14 @@ def test_verify_bad_out_path(capsys):
     assert code == 2
 
 
+def test_verify_bad_out_path_fails_before_any_suite(capsys, tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["verify", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("i/o error:") and not out.parent.exists()
+
+
 @pytest.mark.parametrize(
     "content",
     [

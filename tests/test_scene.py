@@ -1,8 +1,10 @@
 """Scene engine: grids, faces, resolution, census, copies, isomorphism."""
 
 import hashlib
+import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -539,9 +541,11 @@ def test_canonical_form_is_deterministic():
 
 # Reference: the all-roots canonical form, kept as the oracle for the pruned
 # search.  It encodes each component from every half-edge and keeps the
-# smallest encoding, so it is canonical by construction.  It reads sigma and
-# alpha from the scene's own vertex and edge lists, not from the index that
-# the library builds and checks.
+# smallest encoding, so it is canonical by construction; without matched
+# curves it keeps the smallest form over all C! bijections of the C curve ids
+# onto 0..C-1, since a curve id names the same curve in every component.  It
+# reads sigma and alpha from the scene's own vertex and edge lists, not from
+# the index that the library builds and checks.
 
 
 def _rotation(scene):
@@ -557,6 +561,16 @@ def _rotation(scene):
 
 def reference_canonical_form(scene, match_curves=True):
     rotation = _rotation(scene)
+    ids = sorted({e.curve for e in scene.edges})
+    if match_curves:
+        return _reference_form(rotation, {c: c for c in ids})
+    return min(
+        _reference_form(rotation, dict(zip(ids, numbers)))
+        for numbers in itertools.permutations(range(len(ids)))
+    )
+
+
+def _reference_form(rotation, token):
     nxt, par, _ = rotation
     seen = set()
     comps = []
@@ -571,11 +585,11 @@ def reference_canonical_form(scene, match_curves=True):
                 orbit.add(h)
                 stack += [par[h], nxt[h]]
         seen |= orbit
-        comps.append(min(_reference_encoding(rotation, r, match_curves) for r in orbit))
+        comps.append(min(_reference_encoding(rotation, r, token) for r in orbit))
     return tuple(sorted(comps))
 
 
-def _reference_encoding(rotation, root, match_curves):
+def _reference_encoding(rotation, root, token):
     nxt, par, edge = rotation
     order = {root: 0}
     queue = [root]
@@ -584,17 +598,15 @@ def _reference_encoding(rotation, root, match_curves):
             if nb not in order:
                 order[nb] = len(order)
                 queue.append(nb)
-    curve_token = {}
     rows = []
     for h in queue:
         e = edge[h]
-        tok = e.curve if match_curves else curve_token.setdefault(e.curve, len(curve_token))
         if e.marker is None:
             mk = (0, 0, 0)
         else:
             p, q = e.marker if h == e.half[0] else (-e.marker[0], -e.marker[1])
             mk = (1, p, q)
-        rows.append((order[nxt[h]], order[par[h]], tok, mk))
+        rows.append((order[nxt[h]], order[par[h]], token[e.curve], mk))
     return tuple(rows)
 
 
@@ -717,6 +729,45 @@ def test_canonical_form_matches_reference_on_curated_scenes():
     pairs = [p for scene in curated for p in _pairs_around(scene, rng)]
     pairs += [(x, y) for x in curated for y in curated if x is not y]
     _assert_forms_agree(pairs)
+
+
+def _disjoint_union(x, y, rename=None):
+    """x beside a copy of y on fresh ids, its curves renamed by ``rename``;
+    both keep one global set of curve ids."""
+    rename = rename or {}
+    mv, me, mh = (m + 1 for m in x.max_ids())
+    vertices = list(x.vertices) + [
+        Vertex(v.id + mv, tuple(h + mh for h in v.cycle)) for v in y.vertices
+    ]
+    edges = list(x.edges) + [
+        Edge(e.id + me, (e.half[0] + mh, e.half[1] + mh), rename.get(e.curve, e.curve), e.marker)
+        for e in y.edges
+    ]
+    return Scene(f"{x.name}+{y.name}", vertices, edges, [Curve("a"), Curve("b")])
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        torus_grid_scene(1, 0, 1, 2),
+        torus_grid_scene(1, 0, 0, 2),
+        _markerless(torus_grid_scene(1, 0, 0, 2)),
+    ],
+    ids=["grid(1,0,1,2)", "grid(1,0,0,2)", "grid(1,0,0,2)-markerless"],
+)
+def test_unmatched_curves_are_renamed_once_per_scene(grid):
+    """G + G and G + swap(G) match component by component, each under its own
+    renaming of a and b, but no one renaming maps one onto the other."""
+    swap = {"a": "b", "b": "a"}
+    same, swapped = _disjoint_union(grid, grid), _disjoint_union(grid, grid, swap)
+    for match_curves in (True, False):
+        assert not scenes_isomorphic(same, swapped, match_curves=match_curves)
+        assert reference_canonical_form(same, match_curves) != reference_canonical_form(
+            swapped, match_curves
+        )
+    both_swapped = _relabelled(same, random.Random(0), swap)
+    assert scenes_isomorphic(same, both_swapped, match_curves=False)
+    assert not scenes_isomorphic(same, both_swapped)
 
 
 # ----------------------------------------------------------------------
@@ -910,14 +961,122 @@ _INDEX_PARTS = (
 
 
 def _assert_derived_index_is_checked_index(out):
-    """The index ``resolve`` attached equals the one a full check builds."""
+    """The index a scene got at construction (from ``resolve`` or a grid
+    constructor) equals the one a full check of its records builds."""
     import curvesys.scene as scene_module
 
+    # Every column is compared; only faces, orbits and strands are derived.
+    assert set(scene_module._Index.__slots__) - set(_INDEX_PARTS) == {"faces", "orbits", "strands"}
     derived = out._index
     assert derived is not None
     built = scene_module._build_index(Scene(out.name, out.vertices, out.edges, out.curves))
     for part in _INDEX_PARTS:
         assert getattr(derived, part) == getattr(built, part), (out.name, part)
+
+
+def test_oracle_grids_carry_the_checked_index(monkeypatch):
+    import curvesys.harness as harness_module
+
+    grids = []
+    real = harness_module.torus_grid_scene
+
+    def recorded(*args):
+        grids.append(real(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(harness_module, "torus_grid_scene", recorded)
+    assert suite_resolution_oracle(4).ok
+    assert len(grids) == 1248
+    for grid in grids:
+        _assert_derived_index_is_checked_index(grid)
+
+
+@st.composite
+def _line_families(draw):
+    """One to three families a, b, c of straight lines.  In half the draws
+    all are parallel, so no line crosses another and each has one plain
+    vertex."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        vecs = draw(st.lists(vectors, min_size=n, max_size=n))
+    else:
+        x, y = draw(vectors)
+        ks = draw(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=n, max_size=n))
+        vecs = [(k * x, k * y) for k in ks]
+    return torus_lines_scene(list(zip("abc", vecs)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_line_families())
+def test_lines_scenes_carry_the_checked_index(scene):
+    _assert_derived_index_is_checked_index(scene)
+
+
+def _grid_columns(grid):
+    """(cycles, curve, marker, curves) of a grid, read from its records."""
+    cycles = [v.cycle for v in grid.vertices]
+    return cycles, [e.curve for e in grid.edges], [e.marker for e in grid.edges], grid.curves
+
+
+def _swap_halves(cols):  # A,A,B,B at crossing 0
+    c = cols[0][0]
+    cols[0][0] = (c[0], c[2], c[1], c[3])
+
+
+def _drop_half(cols):  # degree 3, and a dart in no cycle
+    cols[0][0] = cols[0][0][1:]
+
+
+def _repeat_dart(cols):  # one dart in two cycles, and one in none
+    cycles = cols[0]
+    cycles[1] = (cycles[0][0],) + cycles[1][1:]
+
+
+def _split_crossing(cols):  # two plain vertices, each joining a and b
+    cycles = cols[0]
+    c = cycles[0]
+    cycles[0] = c[:2]
+    cycles.append(c[2:])
+
+
+def _loose_edge(cols):  # an edge whose darts are in no cycle
+    cols[1].append("a")
+    cols[2].append((1, 0))
+
+
+def _unknown_curve(cols):
+    cols[1][0] = "x"
+
+
+def _duplicate_curve(cols):
+    cols[3] = cols[3] + (cols[3][0],)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_swap_halves, _drop_half, _repeat_dart, _split_crossing, _loose_edge,
+     _unknown_curve, _duplicate_curve],
+)
+def test_dart_scenes_raise_what_their_records_raise(mutate):
+    """A grid's columns with one fault: construction raises the error, type
+    and message, that the full check of the same records raises."""
+    import curvesys.scene as scene_module
+
+    cols = list(_grid_columns(torus_grid_scene(3, 1, -1, 2)))
+    cols[:3] = (list(col) for col in cols[:3])
+    mutate(cols)
+    cycles, curve, marker, curves = cols
+    with pytest.raises(CurveSysError) as from_records:
+        scene_module._build_index(
+            Scene(
+                "g",
+                [Vertex(k, c) for k, c in enumerate(cycles)],
+                [Edge(k, (2 * k, 2 * k + 1), c, m) for k, (c, m) in enumerate(zip(curve, marker))],
+                curves,
+            )
+        )
+    with pytest.raises(type(from_records.value), match=re.escape(str(from_records.value))):
+        scene_module._dart_scene("g", cycles, curve, marker, curves)
 
 
 @pytest.fixture(scope="module")
@@ -993,6 +1152,38 @@ def test_resolved_records_are_built_only_when_read(monkeypatch):
     assert scene_to_dict(out) == first and built == [grid]
 
 
+def test_grid_records_are_built_only_when_read(monkeypatch):
+    import curvesys.harness as harness_module
+    import curvesys.scene as scene_module
+
+    grids, built = [], []
+    real_grid, real_records = harness_module.torus_grid_scene, scene_module._dart_records
+
+    def recorded(*args):
+        grids.append(real_grid(*args))
+        return grids[-1]
+
+    def counted(*args):
+        built.append(args[0])  # the vertex cycles
+        return real_records(*args)
+
+    monkeypatch.setattr(harness_module, "torus_grid_scene", recorded)
+    monkeypatch.setattr(scene_module, "_dart_records", counted)
+    assert suite_resolution_oracle(2).ok
+    # No grid of the suite is read; the one record build is the trivial-component
+    # control, which extends the records of grid(1,0,0,1).
+    assert grids and all(callable(grid._records) for grid in grids)
+    assert len(built) == 1
+    built.clear()
+    grid = torus_grid_scene(2, 1, -1, 2)
+    validate(grid), components(grid), find_bigons(grid, "a", "b"), canonical_form(grid)
+    components(resolve(grid, "a", "b"))
+    assert built == []
+    first = scene_to_dict(grid)
+    assert len(built) == 1
+    assert scene_to_dict(grid) == first and len(built) == 1
+
+
 @st.composite
 def _three_line_families(draw):
     """Three straight families a, b, c on the torus, parallel ones included."""
@@ -1040,7 +1231,8 @@ def test_resolve_outputs_are_not_indexed_again(monkeypatch):
     for name in calls:
         monkeypatch.setattr(scene_module, name, counted(name))
     assert suite_resolution_oracle(4).ok
-    # Only the grids and corpus controls are built and checked; the 2,496
+    # Only the three corpus controls are checked from records; the 1,249
+    # grids are checked on their dart cycles as they are built, the 2,496
     # resolve outputs carry derived indexes, and every scene's strands are
     # still walked once.
-    assert calls == {"_build_index": 1252, "_walk_strands": 3250}
+    assert calls == {"_build_index": 3, "_walk_strands": 3250}
