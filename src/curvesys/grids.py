@@ -20,10 +20,10 @@ geometrically so that no small integer combination of them vanishes
 identically; the built scene is always checked, never trusted.
 
 The builder makes no vertex or edge records.  Edge k owns half-edges 2k and
-2k + 1, so a half-edge id is its dart, and the scene receives the vertex
-cycles and per-edge curves and markers as columns.  ``scene`` checks them at
-construction with the vertex-cycle and curve-id checks it runs on records,
-and builds the records only when they are first read.
+2k + 1, so a half-edge id is its dart, and the vertex cycles and per-edge
+curves and markers go as columns to the one checked constructor that the
+file loader and record-built scenes also use.  The scene builds its records
+only when they are first read.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvalidScene, ParallelSlopes
-from .scene import Curve, Scene, _dart_scene
+from .scene import Curve, Scene, _checked_index, _indexed
 
 __all__ = ["torus_grid_scene", "torus_lines_scene"]
 
@@ -147,18 +147,24 @@ def _build(
     if any(len(set(offs)) != len(offs) for offs in by_dir.values()):
         return None
 
-    # Crossings: per line, (T, point) with point = n * (position mod 1) and
-    # T / n the parameter of the point along that line.
-    on_line: List[List[Tuple[int, Vec]]] = [[] for _ in lines]
+    # Crossings: per line, (T, point, out slot, in slot) with point = n *
+    # (position mod 1), T / n the parameter of the point along that line, and
+    # the slots of the line's outgoing and incoming half-edges in the
+    # crossing's counterclockwise cycle, ordered by outward direction.
+    rank = _ccw_rank(d for _, u, _, _ in lines for d in (u, (-u[0], -u[1])))
+    on_line: List[List[Tuple[int, Vec, int, int]]] = [[] for _ in lines]
     points = set()
     count = 0
-    for i, (_, (ux, uy), (px, py), ci) in enumerate(lines):
+    for i, (_, ui, (px, py), ci) in enumerate(lines):
+        ux, uy = ui
         hits_i = on_line[i]
         for j in range(i + 1, len(lines)):
             _, uj, (qx, qy), cj = lines[j]
-            den = _det(uj, (ux, uy))
+            den = _det(uj, ui)
             if den == 0:
                 continue
+            keys = (rank[ui], rank[(-ux, -uy)], rank[uj], rank[(-uj[0], -uj[1])])
+            out_i, in_i, out_j, in_j = map(sorted(keys).index, keys)
             # Points of line i with det(uj, point) = cj / n (mod 1).  The
             # division is exact: every C is a multiple of
             # n / (denom * lcm(g_k)) = lcm(|det|), which den divides.
@@ -170,35 +176,33 @@ def _build(
                 t = (t0 + m * step) % n
                 rep = ((t * ux + ci * px) % n, (t * uy + ci * py) % n)
                 points.add(rep)
-                hits_i.append((t, rep))
-                hits_j.append(((rep[0] * qy - rep[1] * qx) % n, rep))  # det(rep, uperp_j)
+                hits_i.append((t, rep, out_i, in_i))
+                t_j = (rep[0] * qy - rep[1] * qx) % n  # det(rep, uperp_j)
+                hits_j.append((t_j, rep, out_j, in_j))
     if len(points) != count:
         return None  # multiple point; retry with other offsets
 
     # Vertices at crossing points (sorted for determinism), then one plain
     # vertex on every crossing-free line.  Edge k owns half-edges 2k and
-    # 2k + 1; half-edges at a crossing go in counterclockwise order of their
-    # outward directions.
+    # 2k + 1, each written into its slot of a crossing's cycle.
     vertex_id_of = {rep: vid for vid, rep in enumerate(sorted(points))}
-    rank = _ccw_rank(d for _, u, _, _ in lines for d in (u, (-u[0], -u[1])))
-    vertex_halves: List[List[Tuple[int, int]]] = [[] for _ in vertex_id_of]
-    plain: List[Tuple[int, ...]] = []
+    cycles: List[List[int]] = [[0] * 4 for _ in vertex_id_of]
+    plain: List[List[int]] = []
     curve: List[str] = []  # per edge
     marker: List[Vec] = []  # per edge
     for (cid, (ux, uy), _, _), hits in zip(lines, on_line):
         if not hits:
             h = 2 * len(curve)
-            plain.append((h, h + 1))
+            plain.append([h, h + 1])
             curve.append(cid)
             marker.append((ux, uy))
             continue
-        out_key, in_key = rank[(ux, uy)], rank[(-ux, -uy)]
         hits.sort()
-        hits.append((hits[0][0] + n, hits[0][1]))  # wrap around the closed line
-        for (t1, rep1), (t2, rep2) in zip(hits, hits[1:]):
+        hits.append((hits[0][0] + n, *hits[0][1:]))  # wrap around the closed line
+        for (t1, rep1, out_slot, _), (t2, rep2, _, in_slot) in zip(hits, hits[1:]):
             h = 2 * len(curve)
-            vertex_halves[vertex_id_of[rep1]].append((out_key, h))
-            vertex_halves[vertex_id_of[rep2]].append((in_key, h + 1))
+            cycles[vertex_id_of[rep1]][out_slot] = h
+            cycles[vertex_id_of[rep2]][in_slot] = h + 1
             mx, rx = divmod(rep1[0] + (t2 - t1) * ux - rep2[0], n)
             my, ry = divmod(rep1[1] + (t2 - t1) * uy - rep2[1], n)
             if rx or ry:  # pragma: no cover
@@ -206,9 +210,12 @@ def _build(
             curve.append(cid)
             marker.append((mx, my))
 
-    cycles = [tuple(h for _, h in sorted(halves)) for halves in vertex_halves]
+    cycles += plain
     curves = [Curve(cid, g) for cid, g, _, _ in fams]
-    return _dart_scene(name, cycles + plain, curve, marker, curves)
+    darts = range(2 * len(curve))
+    vid, eid = list(range(len(cycles))), list(range(len(curve)))
+    ix = _checked_index(vid, cycles, eid, list(zip(darts[::2], darts[1::2])), curve, marker, curves)
+    return _indexed(name, curves, ix)
 
 
 def _ccw_rank(dirs: Iterable[Vec]) -> Dict[Vec, int]:

@@ -10,20 +10,20 @@ h -> sigma(alpha(h)), graph components are the orbits of <sigma, alpha>, and a
 connected rotation system encodes a cellular embedding in the closed oriented
 surface of genus (2 - V + E - F) / 2.
 
-Every operation checks structure first, once per scene: the first one to
-touch a scene builds its dart index (edge k owns darts 2k and 2k + 1, so alpha
-is p ^ 1) and in the same pass checks integer ids, half-edges and markers,
-half-edge bookkeeping, vertex degrees 2 or 4, alternating crossings and curve
-ids, raising a SceneError on the first violation.  No operation runs on a
-scene that failed the check.  Scenes from the loader, ``parallel_copies`` and
-direct construction are checked on their vertex and edge records.  Two kinds
-of scene get their index without records.  The grid constructors hand over
-dart columns (half-edge id = dart), which are checked at construction by the
-same vertex-cycle and curve-id checks.  ``resolve`` derives its output's
-index from the input's checked one by a local rewrite of sigma and degrees,
-holding its input until the records are read.  Both build their vertex and
-edge records only when read.  Faces, strand components and graph-component
-orbits are derived from the index at most once per scene and kept on it.
+Every scene has one checked dart index (edge k owns darts 2k and 2k + 1, so
+alpha is p ^ 1), and one constructor builds it from columns: vertex ids,
+vertex cycles as half-edge ids, edge ids, edge halves, curve labels, markers
+and the curve records.  It maps half-edge ids to darts and checks integer
+ids, half-edges and markers, half-edge bookkeeping, vertex degrees 2 or 4,
+alternating crossings and curve ids, raising a SceneError on the first
+violation.  The file loader and the grid constructors call it at once (for a
+grid each half-edge id is its dart); a scene built from Vertex and Edge
+records calls it on its first operation.  No operation runs on a scene that
+failed the check.  ``resolve`` derives its output's index from the input's
+checked one by a local rewrite of sigma, degrees and the per-vertex columns.
+Records are built from an index only when they are read, and the file writer
+reads the index.  Faces, strand components and graph-component orbits are
+derived from the index at most once per scene and kept on it.
 
 Cellularity is stricter, and only ``validate`` demands it: the scene must be
 connected (one graph component, so not empty), and a scene carrying homology
@@ -38,8 +38,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
@@ -106,13 +105,14 @@ class Curve:
 class Scene:
     """An immutable rotation system with curve-labelled edges.
 
-    Construction only stores the parts, and the first operation builds the
-    dart index and checks the structure; grids are checked as they are built,
-    and grids and resolved scenes build their records on first read.
-    :func:`validate` adds the Euler bookkeeping and cellularity.
+    A scene built from records stores them, and its first operation checks
+    and indexes them; the loader, the grid constructors, ``resolve`` and
+    ``parallel_copies`` hand over a checked index and build the records only
+    when they are first read.  :func:`validate` adds the Euler bookkeeping and
+    cellularity.
     """
 
-    __slots__ = ("name", "curves", "_records", "_index")
+    __slots__ = ("name", "curves", "_parts", "_index")
 
     def __init__(
         self,
@@ -122,7 +122,8 @@ class Scene:
         curves: Iterable[Curve],
     ) -> None:
         self.name = name
-        self._records = (tuple(vertices), tuple(edges))  # or a record builder, until read
+        # The records, or None until read on a scene made from an index.
+        self._parts: Optional[Tuple[Tuple[Vertex, ...], ...]] = (tuple(vertices), tuple(edges))
         self.curves: Tuple[Curve, ...] = tuple(curves)
         self._index: Optional[_Index] = None
 
@@ -130,22 +131,19 @@ class Scene:
     edges = property(lambda self: self._read()[1])
 
     def _read(self) -> Tuple[Tuple[Vertex, ...], Tuple[Edge, ...]]:
-        if callable(self._records):
-            self._records = self._records()
-        return self._records
+        if self._parts is None:
+            self._parts = _records(self._index)
+        return self._parts
 
     def max_ids(self) -> Tuple[int, int, int]:
         """(max vertex id, max edge id, max half-edge id), -1 when empty."""
-        mv = max((v.id for v in self.vertices), default=-1)
-        me = max((e.id for e in self.edges), default=-1)
-        mh = max(_index(self).hid, default=-1)
-        return mv, me, mh
+        ix = _index(self)
+        return max(ix.vid, default=-1), max(ix.eid, default=-1), max(ix.hid, default=-1)
 
     def __repr__(self) -> str:
-        return (
-            f"Scene({self.name!r}, V={len(self.vertices)}, "
-            f"E={len(self.edges)}, curves={[c.id for c in self.curves]})"
-        )
+        ix = self._index
+        v, e = (len(ix.vid), len(ix.eid)) if ix is not None else map(len, self._parts)
+        return f"Scene({self.name!r}, V={v}, E={e}, curves={[c.id for c in self.curves]})"
 
 
 @dataclass(frozen=True)
@@ -208,15 +206,17 @@ class SceneDiagnostics:
 
 
 class _Index:
-    """The scene as a combinatorial map over darts: edge k of ``scene.edges``
-    owns darts 2k (its ``half[0]``) and 2k + 1 (its ``half[1]``), so alpha is
-    ``p ^ 1``, the edge of p is ``p >> 1``, and the marker along p is negated
-    when p is odd.  Faces, orbits and strand walks are tuples of darts."""
+    """The scene as a combinatorial map over darts: edge k owns darts 2k (its
+    first half-edge) and 2k + 1 (its second), so alpha is ``p ^ 1``, the edge
+    of p is ``p >> 1``, and the marker along p is negated when p is odd.  Each
+    vertex is kept as its id and its first dart, from which sigma walks its
+    cycle.  Faces, orbits and strand walks are tuples of darts."""
 
     __slots__ = ("nxt", "deg", "hid", "eid", "curve", "marker", "by_hid", "by_eid", "curves",
-                 "nv", "marked", "faces", "orbits", "strands")
+                 "vid", "first", "marked", "faces", "orbits", "strands")
 
-    def __init__(self, nxt, deg, hid, eid, curve, marker, by_hid, by_eid, curves, nv, marked):
+    def __init__(self, nxt, deg, hid, eid, curve, marker, by_hid, by_eid, curves, vid, first,
+                 marked):
         self.nxt: List[int] = nxt  # per dart: sigma, the ccw-next dart at its vertex
         self.deg: List[int] = deg  # per dart: the degree of its vertex
         self.hid: List[int] = hid  # per dart: its half-edge id
@@ -226,7 +226,8 @@ class _Index:
         self.by_hid: List[int] = by_hid  # the darts in half-edge id order, where faces start
         self.by_eid: List[int] = by_eid  # the edges in edge id order, where strands start
         self.curves: Set[str] = curves  # the scene's curve ids
-        self.nv: int = nv  # the number of vertices
+        self.vid: List[int] = vid  # per vertex: its id
+        self.first: List[int] = first  # per vertex: the dart its cycle starts at
         self.marked: bool = marked  # there are edges and every one carries a marker
         # faces, orbits and (census, walks) of strands, derived on first use
         self.faces = self.orbits = self.strands = None
@@ -240,96 +241,115 @@ def _index(scene: Scene) -> _Index:
 
 
 def _build_index(scene: Scene) -> _Index:
-    """Index the darts of a scene, checking its structure on the way."""
-    vertices, edges = scene.vertices, scene.edges
+    """Check and index a scene given as records."""
+    vs, es = scene.vertices, scene.edges
+    ids, cycles = [v.id for v in vs], [v.cycle for v in vs]
+    eid, halves = [e.id for e in es], [e.half for e in es]
+    curve, marker = [e.curve for e in es], [e.marker for e in es]
+    return _checked_index(ids, cycles, eid, halves, curve, marker, scene.curves)
+
+
+def _indexed(name: str, curves: Iterable[Curve], ix: _Index) -> Scene:
+    """A scene with a checked index, which builds its records when read."""
+    out = Scene(name, (), (), curves)
+    out._parts, out._index = None, ix
+    return out
+
+
+_INT = {int}  # the only accepted type for ids, half-edges and markers; bool is not int
+_SEQ = {list, tuple}  # the accepted types of a pair of half-edges, a marker or a cycle
+
+
+def _int_rows(rows: Sequence, size: Optional[int] = None) -> Optional[List[int]]:
+    """The entries of the rows in order if every row is a list or tuple of
+    ints, of ``size`` entries if given, else None."""
+    if _SEQ.issuperset(map(type, rows)) and (size is None or set(map(len, rows)) <= {size}):
+        entries = list(chain.from_iterable(rows))
+        if _INT.issuperset(map(type, entries)):
+            return entries
+    return None
+
+
+def _checked_index(
+    vid: List[int],
+    cycles: Sequence[Sequence[int]],
+    eid: List[int],
+    halves: Sequence[Sequence[int]],
+    curve: List[str],
+    marker: List[Optional[Marker]],
+    curves: Sequence[Curve],
+) -> _Index:
+    """The dart index of a scene given as columns, checked on the way: vertex
+    k has id ``vid[k]`` and the counterclockwise half-edge ids ``cycles[k]``;
+    edge k has id ``eid[k]``, half-edges ``halves[k]``, curve ``curve[k]`` and
+    marker ``marker[k]`` or None, and owns darts 2k and 2k + 1.  Ids come
+    first, then curves, half-edges and markers, then the vertex cycles."""
+    for ids, what in ((vid, "vertex"), (eid, "edge")):
+        if not _INT.issuperset(map(type, ids)):
+            bad = next(x for x in ids if type(x) is not int)
+            raise InvalidScene(f"{what} ids must be integers, got {bad!r}")
+        if len(set(ids)) != len(ids):
+            raise InvalidScene(f"duplicate {what} ids")
     try:
-        curves = {c.id for c in scene.curves}
-        vertex_ids = {v.id for v in vertices}
-        eid = [e.id for e in edges]
-        curve = [e.curve for e in edges]
-        edge_ids, edge_curves = set(eid), set(curve)
+        names, used = {c.id for c in curves}, set(curve)
     except TypeError:
-        raise InvalidScene("vertex, edge and curve ids must be hashable") from None
-    if len(vertex_ids) != len(vertices):
-        raise InvalidScene("duplicate vertex ids")
-    if len(edge_ids) != len(edges):
-        raise InvalidScene("duplicate edge ids")
-    _check_curves(curves, len(scene.curves), edge_curves, curve, eid)
-
-    dart: Dict[int, int] = {}  # half-edge id -> dart, only while building
-    for k, e in enumerate(edges):  # type(x) is int throughout: bool is not int
-        if type(e.id) is not int:
-            raise InvalidScene(f"edge id {e.id!r} is not an integer")
-        try:
-            a, b = e.half
-        except (TypeError, ValueError):
-            a = b = None
-        if type(a) is not int or type(b) is not int:
-            raise InvalidScene(f"edge {e.id} needs a pair of integer half-edge ids, got {e.half!r}")
-        if e.marker is not None:
-            try:
-                p, q = e.marker
-            except (TypeError, ValueError):
-                p = q = None
-            if type(p) is not int or type(q) is not int:
-                raise InvalidScene(f"edge {e.id} has a non-integer marker {e.marker!r}")
-        if a == b:
-            raise DanglingHalfEdge(f"edge {e.id} repeats half-edge {a}")
-        if a in dart or b in dart:
-            raise DanglingHalfEdge(f"half-edge {a if a in dart else b} belongs to two edges")
-        dart[a] = 2 * k
-        dart[b] = 2 * k + 1
-    hid = list(dart)  # in dart order, as inserted
-
-    nxt, deg = _link_cycles(_vertex_darts(vertices, dart), curve, hid)
-    marker = [e.marker for e in edges]
-    by_hid = sorted(range(len(hid)), key=hid.__getitem__)
-    by_eid = sorted(range(len(eid)), key=eid.__getitem__)
-    marked = bool(edges) and None not in marker
-    return _Index(nxt, deg, hid, eid, curve, marker, by_hid, by_eid, curves, len(vertices), marked)
-
-
-def _check_curves(
-    curves: Set[str], declared: int, used: Set[str], curve: List[str], eid: Sequence[int]
-) -> None:
-    """The declared curve ids are distinct and name every edge's curve."""
-    if len(curves) != declared:
+        raise InvalidScene("curve ids must be hashable") from None
+    if len(names) != len(curves):
         raise InvalidScene("duplicate curve ids")
-    if not used <= curves:
-        k = next(k for k, c in enumerate(curve) if c not in curves)
+    if not used <= names:
+        k = next(k for k, c in enumerate(curve) if c not in names)
         raise InvalidScene(f"edge {eid[k]} references unknown curve {curve[k]!r}")
 
-
-def _vertex_darts(vertices: Sequence[Vertex], dart: Dict[int, int]):
-    """(vertex id, its cycle as darts) per vertex, each checked as it is read."""
-    for v in vertices:
-        if type(v.id) is not int:
-            raise InvalidScene(f"vertex id {v.id!r} is not an integer")
-        cycle = v.cycle
-        try:
-            ds = [dart[h] for h in cycle]
-        except KeyError as exc:
-            raise DanglingHalfEdge(
-                f"half-edge {exc.args[0]} is in a vertex cycle but on no edge"
-            ) from None
-        except TypeError:  # not a sequence, or an unhashable id
-            raise InvalidScene(f"vertex {v.id} has a malformed half-edge cycle {cycle!r}") from None
-        yield v.id, ds
-    # Once every cycle's shape is checked: True and 1.0 find half-edge 1.
-    if {type(h) for v in vertices for h in v.cycle} - {int}:
-        v = next(v for v in vertices if any(type(h) is not int for h in v.cycle))
-        raise InvalidScene(f"vertex {v.id} has a malformed half-edge cycle {v.cycle!r}")
+    marked = bool(marker) and None not in marker  # there are edges and each has a marker
+    pairs = marker if marked else [(0, 0) if m is None else m for m in marker]
+    entries = []
+    for rows, size, owner, what in (
+        (halves, 2, eid, "edge {} half-edge ids must be a pair"),
+        (pairs, 2, eid, "edge {} marker must be a pair"),
+        (cycles, None, vid, "vertex {} half-edge cycle must be a sequence"),
+    ):
+        entries.append(_int_rows(rows, size))
+        if entries[-1] is None:
+            k, row = next((k, row) for k, row in enumerate(rows) if _int_rows((row,), size) is None)
+            shown = list(row) if type(row) in _SEQ else row  # a file and records read alike
+            raise InvalidScene(f"{what.format(owner[k])} of integers, got {shown!r}")
+    hid, _, flat = entries
+    n = len(hid)
+    identity = hid == list(range(n))  # each half-edge id is its dart, as in the grids
+    if not identity and len(set(hid)) != n:
+        seen: Set[int] = set()
+        for p, h in enumerate(hid):
+            if h in seen:
+                if hid[p ^ 1] == h:
+                    raise DanglingHalfEdge(f"edge {eid[p >> 1]} repeats half-edge {h}")
+                raise DanglingHalfEdge(f"half-edge {h} belongs to two edges")
+            seen.add(h)
+    if identity and (not flat or min(flat) >= 0 and max(flat) < n):
+        darts = cycles
+    else:  # half-edge id -> dart, only while building
+        dart = dict(zip(hid, range(n)))
+        darts = ([dart[h] for h in c] for c in cycles)
+    try:
+        nxt, deg, first = _link_cycles(zip(vid, darts), curve, hid)
+    except KeyError as exc:
+        h = exc.args[0]
+        raise DanglingHalfEdge(f"half-edge {h} is in a vertex cycle but on no edge") from None
+    marker = [m if m is None else tuple(m) for m in marker]
+    by_hid = hid if identity else sorted(range(n), key=hid.__getitem__)
+    by_eid = sorted(range(len(eid)), key=eid.__getitem__)
+    return _Index(nxt, deg, hid, eid, curve, marker, by_hid, by_eid, names, vid, first, marked)
 
 
 def _link_cycles(
     cycles: Iterable[Tuple[int, Sequence[int]]], curve: List[str], hid: List[int]
-) -> Tuple[List[int], List[int]]:
-    """Sigma and per-dart degrees from (vertex id, darts) cycles, checking that
-    every vertex has degree 2 or 4, every crossing alternates between two
-    curves, every plain vertex stays on one curve, and every dart lies in
-    exactly one cycle.  Both the record check and the grid constructors use it."""
+) -> Tuple[List[int], List[int], List[int]]:
+    """Sigma, per-dart degrees and per-vertex first darts from (vertex id,
+    darts) cycles, checking that every vertex has degree 2 or 4, every
+    crossing alternates between two curves, every plain vertex stays on one
+    curve, and every dart lies in exactly one cycle."""
     nxt = [0] * len(hid)
     deg = [0] * len(hid)  # 0 marks a dart in no vertex cycle yet
+    first: List[int] = []
     for vid, ds in cycles:
         d = len(ds)
         if d == 4:
@@ -344,6 +364,7 @@ def _link_cycles(
             a, b = (curve[p >> 1] for p in ds)
             raise InvalidScene(f"plain vertex {vid} joins different curves {a!r}, {b!r}")
         q = ds[0]
+        first.append(q)
         for p in reversed(ds):
             if deg[p]:
                 raise DanglingHalfEdge(f"half-edge {hid[p]} sits in two vertex cycles")
@@ -352,36 +373,22 @@ def _link_cycles(
     if 0 in deg:
         h = hid[deg.index(0)]
         raise DanglingHalfEdge(f"half-edge {h} is on an edge but in no vertex cycle")
-    return nxt, deg
+    return nxt, deg, first
 
 
-def _dart_scene(
-    name: str,
-    cycles: List[Tuple[int, ...]],
-    curve: List[str],
-    marker: List[Marker],
-    curves: Sequence[Curve],
-) -> Scene:
-    """A scene whose half-edge ids are its darts: edge k is (2k, 2k + 1) on
-    ``curve[k]`` with ``marker[k]``, and vertex k has cycle ``cycles[k]``.
-    It is checked now, on these columns, and builds its records on first read."""
-    out = Scene(name, (), (), curves)
-    ids = {c.id for c in out.curves}
-    eid = list(range(len(curve)))
-    _check_curves(ids, len(out.curves), set(curve), curve, eid)
-    hid = list(range(2 * len(curve)))
-    nxt, deg = _link_cycles(enumerate(cycles), curve, hid)
-    marked = bool(marker) and None not in marker
-    # Ids equal darts and edge numbers, so each id list is its own sorted order.
-    out._index = _Index(nxt, deg, hid, eid, curve, marker, hid, eid, ids, len(cycles), marked)
-    out._records = partial(_dart_records, cycles, curve, marker)
-    return out
+def _cycles(ix: _Index) -> Iterable[Tuple[int, ...]]:
+    """Each vertex's half-edge ids, counterclockwise from its first dart."""
+    nxt, deg, hid = ix.nxt, ix.deg, ix.hid
+    for p in ix.first:
+        q = nxt[p]
+        yield (hid[p], hid[q]) if deg[p] == 2 else (hid[p], hid[q], hid[nxt[q]], hid[nxt[nxt[q]]])
 
 
-def _dart_records(cycles: List[Tuple[int, ...]], curve: List[str], marker: List[Marker]):
-    """The records of a scene built by :func:`_dart_scene`."""
-    vertices = tuple(Vertex(k, c) for k, c in enumerate(cycles))
-    edges = tuple(Edge(k, (2 * k, 2 * k + 1), c, m) for k, (c, m) in enumerate(zip(curve, marker)))
+def _records(ix: _Index) -> Tuple[Tuple[Vertex, ...], Tuple[Edge, ...]]:
+    """The vertex and edge records of a checked index, in its order."""
+    hid = ix.hid
+    vertices = tuple(map(Vertex, ix.vid, _cycles(ix)))
+    edges = tuple(map(Edge, ix.eid, zip(hid[::2], hid[1::2]), ix.curve, ix.marker))
     return vertices, edges
 
 
@@ -526,7 +533,7 @@ def validate(scene: Scene, require_cellular: bool = True) -> SceneDiagnostics:
 
     ix = _index(scene)
     faces = _faces(scene)
-    v, e, f = ix.nv, len(ix.eid), len(faces)
+    v, e, f = len(ix.vid), len(ix.eid), len(faces)
     chi = v - e + f
     connected = len(_orbits(scene)) == 1
     genus: Optional[int] = None
@@ -697,9 +704,10 @@ def resolve(
     as one system.
 
     The returned scene carries an index derived from the input's checked one
-    and is not checked again: it shares every column but sigma, degrees and
-    edge curves, which change only where the pair crosses.  Its vertex and edge
-    records are built on first read, and until then it holds the input scene.
+    and is not checked again: it shares every column but sigma, degrees, edge
+    curves and the per-vertex columns, which change only where the pair
+    crosses.  Each smoothed crossing becomes two plain vertices on fresh ids
+    (past the largest id, in vertex order), one starting at each 'to' dart.
     """
     if convention not in _CONVENTIONS:
         raise ValueError(f"convention must be one of {_CONVENTIONS}, got {convention!r}")
@@ -713,47 +721,38 @@ def resolve(
         )
 
     merged = _fresh_curve_id(ix, f"{from_curve}*{to_curve}")
-    step = 1 if convention == "after" else -1
+    after = convention == "after"
 
-    # At each crossing of the pair, each 'to' dart p is joined with its
-    # ccw-next (after) or ccw-previous (before) dart, which is on 'from'.
-    old_nxt, nxt, deg, curve = ix.nxt, ix.nxt[:], ix.deg[:], ix.curve
-    for p, d in enumerate(ix.deg):
-        if d == 4 and curve[p >> 1] == to_curve and curve[old_nxt[p] >> 1] == from_curve:
-            mate = old_nxt[p] if step == 1 else old_nxt[old_nxt[old_nxt[p]]]
-            nxt[p], nxt[mate] = mate, p
-            deg[p] = deg[mate] = 2
+    # A crossing of the pair reads (t, f, u, g) counterclockwise from a 'to'
+    # dart t.  Each 'to' dart is joined with its ccw-next (after) or
+    # ccw-previous (before) dart, which is on 'from'.
+    old_nxt, old_deg, nxt, deg, curve = ix.nxt, ix.deg, ix.nxt[:], ix.deg[:], ix.curve
+    vid, first = [], []
+    fresh = max(ix.vid, default=-1) + 1
+    for v, p in zip(ix.vid, ix.first):
+        if old_deg[p] != 4 or curve[p >> 1] not in pair or curve[old_nxt[p] >> 1] not in pair:
+            vid.append(v)
+            first.append(p)
+            continue
+        t = p if curve[p >> 1] == to_curve else old_nxt[p]
+        f = old_nxt[t]
+        u = old_nxt[f]
+        g = old_nxt[u]
+        if not after:
+            f, g = g, f
+        nxt[t], nxt[f], nxt[u], nxt[g] = f, t, g, u
+        deg[t] = deg[f] = deg[u] = deg[g] = 2
+        vid += (fresh, fresh + 1)
+        first += (t, u)
+        fresh += 2
 
     new_curves = [c for c in scene.curves if c.id not in pair]
     new_curves.append(Curve(merged, None))
-    out = Scene(f"resolve({scene.name},{from_curve}->{to_curve})", (), (), new_curves)
-    out._records = partial(_resolved_records, scene, pair, to_curve, step, merged)
-    nv = ix.nv + (ix.deg.count(4) - deg.count(4)) // 4  # one more per smoothed crossing
-    out._index = _Index(
+    out = _Index(
         nxt, deg, ix.hid, ix.eid, [merged if c in pair else c for c in curve], ix.marker,
-        ix.by_hid, ix.by_eid, (ix.curves - pair) | {merged}, nv, ix.marked,
+        ix.by_hid, ix.by_eid, (ix.curves - pair) | {merged}, vid, first, ix.marked,
     )
-    return out
-
-
-def _resolved_records(scene: Scene, pair: Set[str], to_curve: str, step: int, merged: str):
-    """The records of a resolved scene: each smoothed crossing of ``scene``
-    becomes two plain vertices on fresh ids, numbered in vertex order, and the
-    pair's edges move to the merged curve."""
-    curve_of = {h: e.curve for e in scene.edges for h in e.half}
-    next_vid = max((v.id for v in scene.vertices), default=-1) + 1
-    vertices: List[Vertex] = []
-    for v in scene.vertices:
-        c = v.cycle
-        if len(c) != 4 or curve_of[c[0]] not in pair or curve_of[c[1]] not in pair:
-            vertices.append(v)
-            continue
-        first = 0 if curve_of[c[0]] == to_curve else 1
-        for i in (first, first + 2):
-            vertices.append(Vertex(next_vid, (c[i], c[(i + step) % 4])))
-            next_vid += 1
-    edges = (Edge(e.id, e.half, merged, e.marker) if e.curve in pair else e for e in scene.edges)
-    return tuple(vertices), tuple(edges)
+    return _indexed(f"resolve({scene.name},{from_curve}->{to_curve})", new_curves, out)
 
 
 def _fresh_curve_id(ix: _Index, base: str) -> str:
@@ -826,7 +825,7 @@ def parallel_copies(scene: Scene, curve_id: str, n: int) -> Scene:
         return scene
 
     # Step i of the loop enters its edge by dart walk[i] and leaves by its partner.
-    comp, walk = census.components[mine[0]], walks[mine[0]]
+    walk = walks[mine[0]]
     next_vid, next_eid, next_hid = (x + 1 for x in scene.max_ids())
 
     def fresh_half() -> int:
@@ -844,31 +843,34 @@ def parallel_copies(scene: Scene, curve_id: str, n: int) -> Scene:
     copy_half_end = [[fresh_half() for _ in range(n)] for _ in range(m)]
 
     zero: Optional[Marker] = (0, 0) if ix.marked else None
-    loop_halves = {ix.hid[p] for e in walk for p in (e, e ^ 1)}
-    removed_edges = set(comp.edges)
+    hid = ix.hid
+    loop_halves = {hid[p] for e in walk for p in (e, e ^ 1)}
+    loop_edges = {e >> 1 for e in walk}
 
-    new_vertices: List[Vertex] = [v for v in scene.vertices if loop_halves.isdisjoint(v.cycle)]
-    new_edges: List[Edge] = [e for e in scene.edges if e.id not in removed_edges]
+    # Rows (id, cycle) per vertex and (id, halves, curve, marker) per edge:
+    # the kept ones, then the copies and connectors.
+    vertices = [row for row in zip(ix.vid, _cycles(ix)) if loop_halves.isdisjoint(row[1])]
+    edges = [
+        (ix.eid[k], (hid[2 * k], hid[2 * k + 1]), ix.curve[k], ix.marker[k])
+        for k in range(len(ix.eid))
+        if k not in loop_edges
+    ]
 
     for i, entry in enumerate(walk):
         marker_i = travel_marker(entry)
         for j in range(n):
-            new_edges.append(
-                Edge(next_eid, (copy_half_start[i][j], copy_half_end[i][j]), curve_id, marker_i)
-            )
+            half = (copy_half_start[i][j], copy_half_end[i][j])
+            edges.append((next_eid, half, curve_id, marker_i))
             next_eid += 1
 
     # Rebuild each visited vertex.  Step i ends at the vertex between step i
     # and step i+1; copies are indexed 0 (right of travel) .. n-1 (left).
-    extra_vertices: List[Vertex] = []
     for i, entry in enumerate(walk):
         j_in = i
         j_out = (i + 1) % m
         if ix.deg[entry ^ 1] == 2:
             for j in range(n):
-                extra_vertices.append(
-                    Vertex(next_vid, (copy_half_end[j_in][j], copy_half_start[j_out][j]))
-                )
+                vertices.append((next_vid, (copy_half_end[j_in][j], copy_half_start[j_out][j])))
                 next_vid += 1
             continue
         # Crossing with another curve: cycle reads (out, left, in, right)
@@ -878,39 +880,31 @@ def parallel_copies(scene: Scene, curve_id: str, n: int) -> Scene:
         c_right = ix.nxt[ix.nxt[c_left]]
         other_curve = ix.curve[c_left >> 1]
         # Connector edges between consecutive copies, crossing right-to-left.
-        conn_left: List[Optional[int]] = [None] * n
-        conn_right: List[Optional[int]] = [None] * n
-        conn_right[0] = ix.hid[c_right]
-        conn_left[n - 1] = ix.hid[c_left]
+        conn_left: List[int] = [0] * n
+        conn_right: List[int] = [0] * n
+        conn_right[0] = hid[c_right]
+        conn_left[n - 1] = hid[c_left]
         for j in range(1, n):
             h_a, h_b = fresh_half(), fresh_half()
-            new_edges.append(Edge(next_eid, (h_a, h_b), other_curve, zero))
+            edges.append((next_eid, (h_a, h_b), other_curve, zero))
             next_eid += 1
             conn_left[j - 1] = h_a
             conn_right[j] = h_b
         for j in range(n):
-            cycle = (
-                copy_half_start[j_out][j],
-                conn_left[j],
-                copy_half_end[j_in][j],
-                conn_right[j],
-            )
-            extra_vertices.append(Vertex(next_vid, cycle))  # type: ignore[arg-type]
+            cycle = (copy_half_start[j_out][j], conn_left[j], copy_half_end[j_in][j], conn_right[j])
+            vertices.append((next_vid, cycle))
             next_vid += 1
 
-    new_vertices.extend(extra_vertices)
     new_curves = []
     for c in scene.curves:
         if c.id == curve_id and c.expected_components is not None:
             new_curves.append(Curve(c.id, c.expected_components * n))
         else:
             new_curves.append(c)
-    return Scene(
-        name=f"copies({scene.name},{curve_id}x{n})",
-        vertices=new_vertices,
-        edges=new_edges,
-        curves=new_curves,
-    )
+    vid, cycles = map(list, zip(*vertices))
+    eid, halves, curve, marker = map(list, zip(*edges))
+    out = _checked_index(vid, cycles, eid, halves, curve, marker, new_curves)
+    return _indexed(f"copies({scene.name},{curve_id}x{n})", new_curves, out)
 
 
 # ======================================================================
@@ -1069,6 +1063,7 @@ def _encode_rows(
 
 def scenes_isomorphic(a: Scene, b: Scene, match_curves: bool = True) -> bool:
     """Isomorphism of labelled rotation systems (markers included)."""
-    if _index(a).nv != _index(b).nv or len(_index(a).eid) != len(_index(b).eid):
+    ia, ib = _index(a), _index(b)
+    if len(ia.vid) != len(ib.vid) or len(ia.eid) != len(ib.eid):
         return False
     return canonical_form(a, match_curves) == canonical_form(b, match_curves)

@@ -11,9 +11,12 @@ A scene file is a single object::
 
 ``marker`` is optional per edge.  The three tables must be JSON lists, ids,
 half-edges and marker entries plain JSON integers, and the name, curve ids and
-edge curve labels JSON strings; anything else is rejected.  load(save(s)) is
-isomorphic to s (in fact it preserves all ids verbatim).  Expected component counts are
-constructor-side metadata and are not serialized.
+edge curve labels JSON strings; anything else is rejected.  The loader hands
+the tables as columns to the scene's checked constructor, so a file that is
+not a valid rotation system raises its SceneError at load (the command line
+exits 2, as before); the writer reads the checked index.  Neither builds
+Vertex or Edge records.  load(save(s)) preserves all ids verbatim.  Expected
+component counts are constructor-side metadata and are not serialized.
 """
 
 from __future__ import annotations
@@ -23,64 +26,53 @@ from pathlib import Path
 from typing import Any, Dict, Union
 
 from .errors import InvalidScene
-from .scene import Curve, Edge, Scene, Vertex
+from .scene import Curve, Scene, _checked_index, _cycles, _index, _indexed
 
 __all__ = ["scene_to_dict", "scene_from_dict", "save_scene", "load_scene"]
 
-_INT = {int}  # the only accepted type for ids and markers; bool is not int
-
 
 def scene_to_dict(scene: Scene) -> Dict[str, Any]:
+    ix = _index(scene)
+    hid = ix.hid
     edges = []
-    for e in scene.edges:
-        rec: Dict[str, Any] = {"id": e.id, "half": list(e.half), "curve": e.curve}
-        if e.marker is not None:
-            rec["marker"] = list(e.marker)
+    for i, a, b, c, m in zip(ix.eid, hid[::2], hid[1::2], ix.curve, ix.marker):
+        rec: Dict[str, Any] = {"id": i, "half": [a, b], "curve": c}
+        if m is not None:
+            rec["marker"] = list(m)
         edges.append(rec)
     return {
         "name": scene.name,
-        "vertices": [{"id": v.id, "halfedges_ccw": list(v.cycle)} for v in scene.vertices],
+        "vertices": [{"id": v, "halfedges_ccw": list(c)} for v, c in zip(ix.vid, _cycles(ix))],
         "edges": edges,
         "curves": [{"id": c.id} for c in scene.curves],
     }
 
 
 def scene_from_dict(data: Dict[str, Any]) -> Scene:
-    """Scene of a parsed scene file.  Ids, half-edges and marker entries must
-    be plain ints (floats, strings and bools raise InvalidScene), the name and
-    curve labels strings, and the tables lists."""
+    """Scene of a parsed scene file, checked as it is built.  Ids, half-edges
+    and marker entries must be plain ints (floats, strings and bools raise
+    InvalidScene), the name and curve labels strings, and the tables lists."""
     try:
-        if {type(data[k]) for k in ("vertices", "edges", "curves")} != {list}:
+        vs, es, cs = data["vertices"], data["edges"], data["curves"]
+        if {type(vs), type(es), type(cs)} != {list}:
             raise ValueError("vertices, edges and curves must be lists")
-        vertices = []
-        for v in data["vertices"]:
-            cycle = tuple(v["halfedges_ccw"])
-            if not _INT.issuperset(map(type, (v["id"], *cycle))):
-                raise ValueError(f"vertex ids and half-edges must be integers, got {v!r}")
-            vertices.append(Vertex(v["id"], cycle))
-        edges = []
-        for e in data["edges"]:
-            h1, h2 = e["half"]
-            marker = e.get("marker")
-            ints = (e["id"], h1, h2)
-            if marker is not None:
-                if len(marker) != 2:
-                    raise ValueError(f"edge marker must have 2 entries, got {marker!r}")
-                marker = (marker[0], marker[1])
-                ints += marker
-            if not _INT.issuperset(map(type, ints)):
-                raise ValueError(f"edge ids, halves and markers must be integers, got {e!r}")
-            if type(e["curve"]) is not str:
-                raise ValueError(f"edge curve labels must be strings, got {e!r}")
-            edges.append(Edge(e["id"], (h1, h2), e["curve"], marker))
-        curves = [Curve(c["id"]) for c in data["curves"]]
+        vid = [v["id"] for v in vs]
+        cycles = [v["halfedges_ccw"] for v in vs]
+        eid = [e["id"] for e in es]
+        halves = [e["half"] for e in es]
+        curve = [e["curve"] for e in es]
+        marker = [e.get("marker") for e in es]
+        curves = [Curve(c["id"]) for c in cs]
         name = data.get("name", "scene")
-        if not {str}.issuperset(map(type, (name, *(c.id for c in curves)))):
-            ids = [c.id for c in curves]
-            raise ValueError(f"the name and curve ids must be strings, got {name!r}, {ids!r}")
+        labels = [name, *(c.id for c in curves), *curve]
+        if not {str}.issuperset(map(type, labels)):
+            bad = next(x for x in labels if type(x) is not str)
+            raise ValueError(
+                f"the name, curve ids and edge curve labels must be strings, got {bad!r}"
+            )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidScene(f"malformed scene file: {exc}") from exc
-    return Scene(name=name, vertices=vertices, edges=edges, curves=curves)
+    return _indexed(name, curves, _checked_index(vid, cycles, eid, halves, curve, marker, curves))
 
 
 def save_scene(scene: Scene, path: Union[str, Path]) -> None:

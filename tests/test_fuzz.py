@@ -187,6 +187,40 @@ def test_dt_commands_take_mutated_files(data, other):
     _check_dt_cli(data, other)
 
 
+def _exit_code(argv):
+    """The exit status of ``main``, counting argparse's usage exit."""
+    try:
+        return _run(argv)[0]
+    except SystemExit as exc:
+        return exc.code
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.binary(max_size=64) | st.builds(lambda b: b'{"vertices": [' + b, st.binary(max_size=32)))
+def test_commands_take_arbitrary_bytes(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bytes.json"
+        path.write_bytes(content)
+        for command in ("scene", "dt"):
+            assert _exit_code([command, "validate", str(path)]) == 2
+
+
+_vectors = st.from_regex(r"\A-?[0-9]{1,2},-?[0-9]{1,2}\Z") | st.text(max_size=5)
+_ranges = st.from_regex(r"\A-?[0-9]{1,2}\.\.-?[0-9]{1,2}\Z") | st.text(max_size=5)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_vectors, _vectors, _vectors, _ranges)
+def test_torus_commands_take_arbitrary_arguments(a, b, c, n_range):
+    for argv in (
+        ["torus", "mul", a, b],
+        ["torus", "int", a, b],
+        ["torus", "twist", "--along", a, "--on", b],
+        ["torus", "profile", "--alpha", a, "--beta", b, "--gamma", c, "--range", n_range],
+    ):
+        assert _exit_code(argv) in (0, 2), argv
+
+
 @pytest.mark.parametrize("path", SCENE_FILES + DT_FILES, ids=lambda p: p.name)
 def test_unmutated_corpus_files_pass_every_command(path):
     data = json.loads(path.read_text())

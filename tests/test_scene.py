@@ -956,7 +956,8 @@ def test_trace_faces_hands_out_a_fresh_list():
 
 
 _INDEX_PARTS = (
-    "nxt", "deg", "hid", "eid", "curve", "marker", "by_hid", "by_eid", "curves", "nv", "marked",
+    "nxt", "deg", "hid", "eid", "curve", "marker", "by_hid", "by_eid", "curves", "vid", "first",
+    "marked",
 )
 
 
@@ -1058,8 +1059,9 @@ def _duplicate_curve(cols):
      _unknown_curve, _duplicate_curve],
 )
 def test_dart_scenes_raise_what_their_records_raise(mutate):
-    """A grid's columns with one fault: construction raises the error, type
-    and message, that the full check of the same records raises."""
+    """A grid's columns with one fault: the column constructor, given each
+    half-edge id as its dart the way the grids call it, raises the error,
+    type and message, that the check of the same records raises."""
     import curvesys.scene as scene_module
 
     cols = list(_grid_columns(torus_grid_scene(3, 1, -1, 2)))
@@ -1075,8 +1077,105 @@ def test_dart_scenes_raise_what_their_records_raise(mutate):
                 curves,
             )
         )
+    vid, eid = list(range(len(cycles))), list(range(len(curve)))
+    halves = [(2 * k, 2 * k + 1) for k in eid]
     with pytest.raises(type(from_records.value), match=re.escape(str(from_records.value))):
-        scene_module._dart_scene("g", cycles, curve, marker, curves)
+        scene_module._checked_index(vid, cycles, eid, halves, curve, marker, curves)
+
+
+def _file_of(scene):
+    """The scene file of a scene given as records, as the loader reads it."""
+    edges = []
+    for e in scene.edges:
+        rec = {"id": e.id, "half": e.half, "curve": e.curve}
+        if e.marker is not None:
+            rec["marker"] = e.marker
+        edges.append(rec)
+    data = {
+        "name": scene.name,
+        "vertices": [{"id": v.id, "halfedges_ccw": v.cycle} for v in scene.vertices],
+        "edges": edges,
+        "curves": [{"id": c.id} for c in scene.curves],
+    }
+    return json.loads(json.dumps(data))
+
+
+def _assert_loader_raises_what_records_raise(scene, same_message=True):
+    from curvesys.sceneio import scene_from_dict
+
+    with pytest.raises(CurveSysError) as from_records:
+        components(scene)
+    with pytest.raises(CurveSysError) as from_file:
+        scene_from_dict(_file_of(scene))
+    assert type(from_file.value) is type(from_records.value)
+    if same_message:
+        assert str(from_file.value) == str(from_records.value)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_swap_halves, _drop_half, _repeat_dart, _split_crossing, _loose_edge,
+     _unknown_curve, _duplicate_curve],
+)
+def test_loader_raises_what_records_raise_on_grid_faults(mutate):
+    """The faults of ``test_dart_scenes_raise_what_their_records_raise``, as
+    files: the loader raises at load the error, type and message, that the
+    first operation on the same records raises."""
+    cols = list(_grid_columns(torus_grid_scene(3, 1, -1, 2)))
+    cols[:3] = (list(col) for col in cols[:3])
+    mutate(cols)
+    cycles, curve, marker, curves = cols
+    _assert_loader_raises_what_records_raise(
+        Scene(
+            "g",
+            [Vertex(k, c) for k, c in enumerate(cycles)],
+            [Edge(k, (2 * k, 2 * k + 1), c, m) for k, (c, m) in enumerate(zip(curve, marker))],
+            curves,
+        )
+    )
+
+
+def _one_edge(vertex=(0, (0, 1)), edge=(0, (0, 1), "a", None), curve="a"):
+    return Scene("m", [Vertex(*vertex)], [Edge(*edge)], [Curve(curve)])
+
+
+# The probes of test_malformed_scenes_raise_in_the_library that a scene file
+# can express, as records.
+_FILE_PROBES = {
+    "degree1": _path_scene(),
+    "degree3": _theta_scene(),
+    "half-on-two-edges": _loose_scene([[0, 1]], [([0, 1], "a"), ([1, 0], "a")]),
+    "half-in-two-cycles": _loose_scene([[0, 1], [1, 0]], [([0, 1], "a")]),
+    "short-marker": _one_edge(edge=(0, (0, 1), "a", (1,))),
+    "unhashable-cycle-id": _one_edge(vertex=(0, (0, [1]))),
+    "cycle-not-a-sequence": _one_edge(vertex=(0, 7)),
+    "half-not-a-pair": _one_edge(edge=(0, (0, 1, 2), "a")),
+    "half-not-a-sequence": _one_edge(edge=(0, 5, "a")),
+    "unhashable-vertex-id": _one_edge(vertex=([0], (0, 1))),
+    "unhashable-edge-id": _one_edge(edge=([0], (0, 1), "a")),
+    **{f"{type(bad).__name__}-vertex-id": _one_loop(vid=bad) for bad in ("x", 1.5, True)},
+    **{f"{type(bad).__name__}-edge-id": _one_loop(eid=bad) for bad in ("x", 1.5, True)},
+    "str-vertex-id-resolve": _grid_with_vertex_id("x"),
+    "bool-half-edge": _one_edge(edge=(0, (False, 1), "a")),
+    "bool-in-cycle": _one_edge(vertex=(0, (0, True))),
+    "bool-marker": _one_edge(edge=(0, (0, 1), "a", (True, 0))),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(_FILE_PROBES))
+def test_loader_raises_what_records_raise_on_malformed_scenes(probe):
+    _assert_loader_raises_what_records_raise(_FILE_PROBES[probe])
+
+
+@pytest.mark.parametrize(
+    "scene",
+    [_one_edge(curve=["a"]), _one_edge(edge=(0, (0, 1), ["a"]))],
+    ids=["unhashable-curve-id", "unhashable-edge-curve"],
+)
+def test_loader_rejects_non_string_curve_labels_first(scene):
+    """Curve ids and labels that are not strings: the loader's own string
+    check raises the records path's error type, with its own message."""
+    _assert_loader_raises_what_records_raise(scene, same_message=False)
 
 
 @pytest.fixture(scope="module")
@@ -1130,58 +1229,64 @@ def test_resolved_records_are_unchanged(resolve_outputs):
     assert digest.hexdigest() == _RESOLVED_RECORDS_SHA256
 
 
-def test_resolved_records_are_built_only_when_read(monkeypatch):
+def _count_record_builds(monkeypatch):
+    """The indexes that the one record builder is called on, as it is called."""
     import curvesys.scene as scene_module
 
     built = []
-    real = scene_module._resolved_records
+    real = scene_module._records
 
-    def counted(*args):
-        built.append(args[0])  # the input scene
-        return real(*args)
+    def counted(ix):
+        built.append(ix)
+        return real(ix)
 
-    monkeypatch.setattr(scene_module, "_resolved_records", counted)
+    monkeypatch.setattr(scene_module, "_records", counted)
+    return built
+
+
+def test_resolved_records_are_built_only_when_read(monkeypatch):
+    built = _count_record_builds(monkeypatch)
     assert suite_resolution_oracle(2).ok
-    assert built == []
+    # The one record build is the trivial-component control, which extends
+    # the records of grid(1,0,0,1); no resolve output is read.
+    assert len(built) == 1
+    built.clear()
     grid = torus_grid_scene(2, 1, -1, 2)
     out = resolve(grid, "a", "b")
     components(out), trivial_components(out), validate(out, require_cellular=False)
-    assert built == []
     first = scene_to_dict(out)
-    assert built == [grid]
-    assert scene_to_dict(out) == first and built == [grid]
+    assert built == [] and scene_to_dict(out) == first and built == []
+    vertices, edges = out.vertices, out.edges
+    assert built == [out._index]
+    assert out.vertices is vertices and out.edges is edges and len(built) == 1
 
 
 def test_grid_records_are_built_only_when_read(monkeypatch):
     import curvesys.harness as harness_module
-    import curvesys.scene as scene_module
 
-    grids, built = [], []
-    real_grid, real_records = harness_module.torus_grid_scene, scene_module._dart_records
+    grids = []
+    real_grid = harness_module.torus_grid_scene
 
     def recorded(*args):
         grids.append(real_grid(*args))
         return grids[-1]
 
-    def counted(*args):
-        built.append(args[0])  # the vertex cycles
-        return real_records(*args)
-
     monkeypatch.setattr(harness_module, "torus_grid_scene", recorded)
-    monkeypatch.setattr(scene_module, "_dart_records", counted)
+    built = _count_record_builds(monkeypatch)
     assert suite_resolution_oracle(2).ok
     # No grid of the suite is read; the one record build is the trivial-component
     # control, which extends the records of grid(1,0,0,1).
-    assert grids and all(callable(grid._records) for grid in grids)
+    assert grids and all(grid._parts is None for grid in grids)
     assert len(built) == 1
     built.clear()
     grid = torus_grid_scene(2, 1, -1, 2)
     validate(grid), components(grid), find_bigons(grid, "a", "b"), canonical_form(grid)
     components(resolve(grid, "a", "b"))
-    assert built == []
     first = scene_to_dict(grid)
-    assert len(built) == 1
-    assert scene_to_dict(grid) == first and len(built) == 1
+    assert built == [] and scene_to_dict(grid) == first and built == []
+    vertices, edges = grid.vertices, grid.edges
+    assert built == [grid._index]
+    assert grid.vertices is vertices and grid.edges is edges and len(built) == 1
 
 
 @st.composite

@@ -15,7 +15,7 @@ from curvesys.corpus import (
 from curvesys.errors import InvalidScene
 from curvesys.grids import torus_grid_scene
 from curvesys.sceneio import load_scene, save_scene, scene_from_dict, scene_to_dict
-from curvesys.scene import scenes_isomorphic, validate
+from curvesys.scene import Edge, Vertex, scenes_isomorphic, validate
 
 
 @pytest.mark.parametrize(
@@ -179,3 +179,37 @@ def test_shipped_corpus_matches_fresh_builds(tmp_path):
     assert n == len(shipped) == 758
     for rel in shipped:
         assert (tmp_path / rel).read_bytes() == (shipped_root / rel).read_bytes(), rel
+
+
+def test_load_save_and_resolve_build_no_records(tmp_path, monkeypatch):
+    """The loader, the writer and ``scene resolve --out`` work on the checked
+    index and make no Vertex or Edge record."""
+    made = []
+    for cls in (Vertex, Edge):
+
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            made.append(self)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    for name in ("grids/grid_2_1_3_2.json", "curated/genus2_filling_pair.json"):
+        scene = load_scene(corpus / name)
+        save_scene(scene, tmp_path / "saved.json")
+        assert (tmp_path / "saved.json").read_text() == (corpus / name).read_text()
+        out = tmp_path / "resolved.json"
+        assert main(["scene", "resolve", str(corpus / name), "--from", "a", "--to", "b",
+                     "--out", str(out)]) == 0
+        save_scene(load_scene(out), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_text() == out.read_text()
+    assert made == []
+    assert Vertex(0, (0, 1)) and made  # the counter counts
+
+
+def test_loader_raises_structural_errors_at_load():
+    """A file that is not a rotation system fails at load, before any
+    operation, with the error its first operation used to raise."""
+    d = scene_to_dict(torus_grid_scene(1, 0, 0, 1))
+    d["vertices"][0]["halfedges_ccw"] = d["vertices"][0]["halfedges_ccw"][:3]
+    with pytest.raises(InvalidScene, match="degree 3"):
+        scene_from_dict(d)
