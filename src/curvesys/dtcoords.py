@@ -175,6 +175,8 @@ def twist_multiply(x: DTCoords, k: Sequence[int]) -> DTCoords:
     """
     if len(k) != len(x.m):
         raise CountMismatch(f"expected {len(x.m)} twist exponents, got {len(k)}")
+    if any(type(ki) is not int for ki in k):  # bool is not int
+        raise CountMismatch(f"twist exponents must be integers, got {list(k)!r}")
     for i, (mi, ki) in enumerate(zip(x.m, k), start=1):
         if ki != 0 and mi == 0:
             raise TwistOnMissedCurve(f"curve {i}: k={ki} but m=0")
@@ -186,8 +188,8 @@ def dehn_twist(x: DTCoords, i: int, direction: str = "positive") -> DTCoords:
 
     With m_i = 0 the curve systems are disjoint and the twist acts trivially.
     """
-    if not 1 <= i <= len(x.m):
-        raise UnknownCurveIndex(f"curve index {i} outside 1..{len(x.m)}")
+    if type(i) is not int or not 1 <= i <= len(x.m):  # bool is not int
+        raise UnknownCurveIndex(f"curve index {i!r} outside 1..{len(x.m)}")
     if direction not in ("positive", "negative"):
         raise ValueError(f"direction must be 'positive' or 'negative', got {direction!r}")
     delta = x.m[i - 1] if direction == "positive" else -x.m[i - 1]

@@ -22,8 +22,8 @@ identically; the built scene is always checked, never trusted.
 The builder makes no vertex or edge records.  Edge k owns half-edges 2k and
 2k + 1, so a half-edge id is its dart, and the vertex cycles and per-edge
 curves and markers go as columns to the one checked constructor that the
-file loader and record-built scenes also use.  The scene builds its records
-only when they are first read.
+file loader and ``Scene(...)`` also use, so a grid is checked when it is
+built, like every scene.  It builds its records only when they are first read.
 """
 
 from __future__ import annotations

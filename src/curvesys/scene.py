@@ -15,15 +15,16 @@ alpha is p ^ 1), and one constructor builds it from columns: vertex ids,
 vertex cycles as half-edge ids, edge ids, edge halves, curve labels, markers
 and the curve records.  It maps half-edge ids to darts and checks integer
 ids, half-edges and markers, half-edge bookkeeping, vertex degrees 2 or 4,
-alternating crossings and curve ids, raising a SceneError on the first
-violation.  The file loader and the grid constructors call it at once (for a
-grid each half-edge id is its dart); a scene built from Vertex and Edge
-records calls it on its first operation.  No operation runs on a scene that
-failed the check.  ``resolve`` derives its output's index from the input's
-checked one by a local rewrite of sigma, degrees and the per-vertex columns.
-Records are built from an index only when they are read, and the file writer
-reads the index.  Faces, strand components and graph-component orbits are
-derived from the index at most once per scene and kept on it.
+alternating crossings, curve ids and expected component counts, raising a
+SceneError on the first violation.  Every scene is checked when it is built:
+``Scene(...)`` feeds it its records' columns, and the file loader and the grid
+constructors hand it theirs (for a grid each half-edge id is its dart), so no
+scene exists that failed the check.  ``resolve`` derives its output's index
+from the input's checked one by a local rewrite of sigma, degrees and the
+per-vertex columns.  Records are built from an index only when they are read,
+and the file writer reads the index.  Faces, strand components and
+graph-component orbits are derived from the index at most once per scene and
+kept on it.
 
 Cellularity is stricter, and only ``validate`` demands it: the scene must be
 connected (one graph component, so not empty), and a scene carrying homology
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, permutations, product
+from itertools import chain, count, permutations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
@@ -103,13 +104,12 @@ class Curve:
 
 
 class Scene:
-    """An immutable rotation system with curve-labelled edges.
-
-    A scene built from records stores them, and its first operation checks
-    and indexes them; the loader, the grid constructors, ``resolve`` and
-    ``parallel_copies`` hand over a checked index and build the records only
-    when they are first read.  :func:`validate` adds the Euler bookkeeping and
-    cellularity.
+    """An immutable rotation system with curve-labelled edges, checked when
+    it is built: the constructor indexes its records' columns with the one
+    checked constructor and raises a SceneError on the first violation.  The
+    loader, the grid constructors and ``resolve`` hand over a checked index
+    instead and build the records only when they are first read.
+    :func:`validate` adds the Euler bookkeeping and cellularity.
     """
 
     __slots__ = ("name", "curves", "_parts", "_index")
@@ -121,11 +121,15 @@ class Scene:
         edges: Iterable[Edge],
         curves: Iterable[Curve],
     ) -> None:
+        vs, es = tuple(vertices), tuple(edges)
         self.name = name
-        # The records, or None until read on a scene made from an index.
-        self._parts: Optional[Tuple[Tuple[Vertex, ...], ...]] = (tuple(vertices), tuple(edges))
         self.curves: Tuple[Curve, ...] = tuple(curves)
-        self._index: Optional[_Index] = None
+        # The records, or None until read on a scene made from an index.
+        self._parts: Optional[Tuple[Tuple[Vertex, ...], ...]] = (vs, es)
+        self._index: _Index = _checked_index(
+            [v.id for v in vs], [v.cycle for v in vs], [e.id for e in es], [e.half for e in es],
+            [e.curve for e in es], [e.marker for e in es], self.curves,
+        )
 
     vertices = property(lambda self: self._read()[0])
     edges = property(lambda self: self._read()[1])
@@ -137,12 +141,11 @@ class Scene:
 
     def max_ids(self) -> Tuple[int, int, int]:
         """(max vertex id, max edge id, max half-edge id), -1 when empty."""
-        ix = _index(self)
+        ix = self._index
         return max(ix.vid, default=-1), max(ix.eid, default=-1), max(ix.hid, default=-1)
 
     def __repr__(self) -> str:
-        ix = self._index
-        v, e = (len(ix.vid), len(ix.eid)) if ix is not None else map(len, self._parts)
+        v, e = len(self._index.vid), len(self._index.eid)
         return f"Scene({self.name!r}, V={v}, E={e}, curves={[c.id for c in self.curves]})"
 
 
@@ -233,26 +236,10 @@ class _Index:
         self.faces = self.orbits = self.strands = None
 
 
-def _index(scene: Scene) -> _Index:
-    ix = scene._index
-    if ix is None:
-        ix = scene._index = _build_index(scene)
-    return ix
-
-
-def _build_index(scene: Scene) -> _Index:
-    """Check and index a scene given as records."""
-    vs, es = scene.vertices, scene.edges
-    ids, cycles = [v.id for v in vs], [v.cycle for v in vs]
-    eid, halves = [e.id for e in es], [e.half for e in es]
-    curve, marker = [e.curve for e in es], [e.marker for e in es]
-    return _checked_index(ids, cycles, eid, halves, curve, marker, scene.curves)
-
-
 def _indexed(name: str, curves: Iterable[Curve], ix: _Index) -> Scene:
     """A scene with a checked index, which builds its records when read."""
-    out = Scene(name, (), (), curves)
-    out._parts, out._index = None, ix
+    out = Scene.__new__(Scene)
+    out.name, out.curves, out._parts, out._index = name, tuple(curves), None, ix
     return out
 
 
@@ -283,7 +270,8 @@ def _checked_index(
     k has id ``vid[k]`` and the counterclockwise half-edge ids ``cycles[k]``;
     edge k has id ``eid[k]``, half-edges ``halves[k]``, curve ``curve[k]`` and
     marker ``marker[k]`` or None, and owns darts 2k and 2k + 1.  Ids come
-    first, then curves, half-edges and markers, then the vertex cycles."""
+    first, then the curve records and labels, half-edges and markers, then
+    the vertex cycles."""
     for ids, what in ((vid, "vertex"), (eid, "edge")):
         if not _INT.issuperset(map(type, ids)):
             bad = next(x for x in ids if type(x) is not int)
@@ -296,6 +284,12 @@ def _checked_index(
         raise InvalidScene("curve ids must be hashable") from None
     if len(names) != len(curves):
         raise InvalidScene("duplicate curve ids")
+    for c in curves:
+        n = c.expected_components
+        if n is not None and (type(n) is not int or n < 0):  # bool is not int
+            raise InvalidScene(
+                f"curve {c.id!r} expected components must be a non-negative integer, got {n!r}"
+            )
     if not used <= names:
         k = next(k for k, c in enumerate(curve) if c not in names)
         raise InvalidScene(f"edge {eid[k]} references unknown curve {curve[k]!r}")
@@ -394,15 +388,14 @@ def _records(ix: _Index) -> Tuple[Tuple[Vertex, ...], Tuple[Edge, ...]]:
 
 def _require(scene: Scene, *curve_ids: str) -> _Index:
     """The checked index of a scene that has every curve named."""
-    ix = _index(scene)
+    ix = scene._index
     for cid in curve_ids:
         if cid not in ix.curves:
             raise UnknownCurve(f"scene {scene.name!r} has no curve {cid!r}")
     return ix
 
 
-def _faces(scene: Scene) -> Tuple[Cycle, ...]:
-    ix = _index(scene)
+def _faces(ix: _Index) -> Tuple[Cycle, ...]:
     if ix.faces is None:
         ix.faces = _trace(ix)
     return ix.faces
@@ -427,10 +420,9 @@ def _trace(ix: _Index) -> Tuple[Cycle, ...]:
     return tuple(faces)
 
 
-def _orbits(scene: Scene) -> Tuple[Cycle, ...]:
+def _orbits(ix: _Index) -> Tuple[Cycle, ...]:
     """The graph components: orbits of <sigma, alpha>, each in breadth-first
     order from its first dart."""
-    ix = _index(scene)
     if ix.orbits is None:
         nxt = ix.nxt
         seen = bytearray(len(nxt))
@@ -450,10 +442,9 @@ def _orbits(scene: Scene) -> Tuple[Cycle, ...]:
     return ix.orbits
 
 
-def _strands(scene: Scene) -> Tuple[ComponentCensus, Tuple[Cycle, ...]]:
+def _strands(ix: _Index) -> Tuple[ComponentCensus, Tuple[Cycle, ...]]:
     """The component census and, per component, the dart by which the walk
     enters each of its edges."""
-    ix = _index(scene)
     if ix.strands is None:
         ix.strands = _walk_strands(ix)
     return ix.strands
@@ -500,12 +491,10 @@ def _face(ix: _Index, cycle: Cycle) -> Face:
     return Face(tuple((ix.hid[p], ix.curve[p >> 1]) for p in cycle))
 
 
-def _faces_on(scene: Scene, ix: _Index, degree: int, curves: Set[str]) -> List[Cycle]:
+def _faces_on(ix: _Index, degree: int, curves: Set[str]) -> List[Cycle]:
     """The faces of the given degree whose sides lie on exactly these curves."""
     curve = ix.curve
-    return [
-        f for f in _faces(scene) if len(f) == degree and {curve[p >> 1] for p in f} == curves
-    ]
+    return [f for f in _faces(ix) if len(f) == degree and {curve[p >> 1] for p in f} == curves]
 
 
 # ======================================================================
@@ -531,11 +520,11 @@ def validate(scene: Scene, require_cellular: bool = True) -> SceneDiagnostics:
                 f"expected {c.expected_components}"
             )
 
-    ix = _index(scene)
-    faces = _faces(scene)
+    ix = scene._index
+    faces = _faces(ix)
     v, e, f = len(ix.vid), len(ix.eid), len(faces)
     chi = v - e + f
-    connected = len(_orbits(scene)) == 1
+    connected = len(_orbits(ix)) == 1
     genus: Optional[int] = None
     if connected:
         if chi % 2 != 0 or chi > 2:
@@ -570,8 +559,8 @@ def trace_faces(scene: Scene) -> List[Face]:
     """Orbits of the face-tracing permutation, each started at its smallest
     unused half-edge id.  On a disconnected scene these are the faces of the
     per-component surfaces, not of any common ambient surface."""
-    ix = _index(scene)
-    return [_face(ix, f) for f in _faces(scene)]
+    ix = scene._index
+    return [_face(ix, f) for f in _faces(ix)]
 
 
 # ======================================================================
@@ -589,7 +578,7 @@ def find_bigons(scene: Scene, curve_a: str, curve_b: str) -> List[Face]:
     face's degree past 2 even if the face is a geometric bigon.
     """
     ix = _require(scene, curve_a, curve_b)
-    return [_face(ix, f) for f in _faces_on(scene, ix, 2, {curve_a, curve_b})]
+    return [_face(ix, f) for f in _faces_on(ix, 2, {curve_a, curve_b})]
 
 
 def check_region_condition(scene: Scene, c1: str, c2: str, c3: str) -> bool:
@@ -604,12 +593,12 @@ def check_region_condition(scene: Scene, c1: str, c2: str, c3: str) -> bool:
     triple = [c1, c2, c3]
     for i in range(3):
         for j in range(i + 1, 3):
-            if triple[i] != triple[j] and _faces_on(scene, ix, 2, {triple[i], triple[j]}):
+            if triple[i] != triple[j] and _faces_on(ix, 2, {triple[i], triple[j]}):
                 raise BigonPresent(
                     f"curves {triple[i]!r} and {triple[j]!r} bound a bigon; "
                     "region condition needs minimal position"
                 )
-    return not _faces_on(scene, ix, 3, {c1, c2, c3})
+    return not _faces_on(ix, 3, {c1, c2, c3})
 
 
 # ======================================================================
@@ -624,7 +613,7 @@ def components(scene: Scene) -> ComponentCensus:
     edge's first half-edge; markers are summed with signs matching the
     traversal direction.
     """
-    return _strands(scene)[0]
+    return _strands(scene._index)[0]
 
 
 def crossing_count(scene: Scene, curve_a: str, curve_b: str) -> int:
@@ -651,7 +640,7 @@ def trivial_components(
     curve whose components still cross something raises ComponentHasCrossings.
     """
     ix = _require(scene, *(curves or ()))
-    census, walks = _strands(scene)
+    census, walks = _strands(ix)
     out: List[Component] = []
     for comp, walk in zip(census.components, walks):
         free = all(ix.deg[p ^ 1] == 2 for p in walk)
@@ -670,7 +659,7 @@ def trivial_components(
                 out.append(comp)
             continue
         edge_multiset = sorted(comp.edges)
-        if any(sorted(ix.eid[p >> 1] for p in f) == edge_multiset for f in _faces(scene)):
+        if any(sorted(ix.eid[p >> 1] for p in f) == edge_multiset for f in _faces(ix)):
             out.append(comp)
     return out
 
@@ -715,7 +704,7 @@ def resolve(
     if from_curve == to_curve:
         raise InvalidScene("resolve needs two distinct curve ids")
     pair = {from_curve, to_curve}
-    if _faces_on(scene, ix, 2, pair):
+    if _faces_on(ix, 2, pair):
         raise BigonPresent(
             f"curves {from_curve!r}, {to_curve!r} bound a bigon; resolve needs minimal position"
         )
@@ -779,7 +768,7 @@ def corner_alternation_ok(
     ix = _require(scene, from_curve, to_curve)
     nxt, deg, curve = ix.nxt, ix.deg, ix.curve
     pair = (from_curve, to_curve)
-    for face in _faces(scene):
+    for face in _faces(ix):
         states: List[bool] = []
         for h in face:
             p = h ^ 1
@@ -814,7 +803,7 @@ def parallel_copies(scene: Scene, curve_id: str, n: int) -> Scene:
     if type(n) is not int or n <= 0:  # bool is not int
         raise InvalidCount(f"number of copies must be a positive integer, got {n!r}")
     ix = _require(scene, curve_id)
-    census, walks = _strands(scene)
+    census, walks = _strands(ix)
     mine = [i for i, c in enumerate(census.components) if c.curve == curve_id]
     if len(mine) != 1:
         raise SelfCrossingCurve(
@@ -827,40 +816,28 @@ def parallel_copies(scene: Scene, curve_id: str, n: int) -> Scene:
     # Step i of the loop enters its edge by dart walk[i] and leaves by its partner.
     walk = walks[mine[0]]
     next_vid, next_eid, next_hid = (x + 1 for x in scene.max_ids())
-
-    def fresh_half() -> int:
-        nonlocal next_hid
-        next_hid += 1
-        return next_hid - 1
-
+    fresh = count(next_hid)  # fresh half-edge ids
     m = len(walk)
-    # Travel-oriented markers per step, copied onto every copy of that edge.
-    def travel_marker(entry: int) -> Optional[Marker]:
-        m = ix.marker[entry >> 1]
-        return (-m[0], -m[1]) if m is not None and entry & 1 else m
-
-    copy_half_start = [[fresh_half() for _ in range(n)] for _ in range(m)]
-    copy_half_end = [[fresh_half() for _ in range(n)] for _ in range(m)]
+    copy_half_start = [[next(fresh) for _ in range(n)] for _ in range(m)]
+    copy_half_end = [[next(fresh) for _ in range(n)] for _ in range(m)]
 
     zero: Optional[Marker] = (0, 0) if ix.marked else None
     hid = ix.hid
     loop_halves = {hid[p] for e in walk for p in (e, e ^ 1)}
     loop_edges = {e >> 1 for e in walk}
 
-    # Rows (id, cycle) per vertex and (id, halves, curve, marker) per edge:
-    # the kept ones, then the copies and connectors.
-    vertices = [row for row in zip(ix.vid, _cycles(ix)) if loop_halves.isdisjoint(row[1])]
-    edges = [
-        (ix.eid[k], (hid[2 * k], hid[2 * k + 1]), ix.curve[k], ix.marker[k])
-        for k in range(len(ix.eid))
-        if k not in loop_edges
-    ]
+    # The kept records, then the copies and connectors.
+    kept_vertices, kept_edges = _records(ix)
+    vertices = [v for v in kept_vertices if loop_halves.isdisjoint(v.cycle)]
+    edges = [e for k, e in enumerate(kept_edges) if k not in loop_edges]
 
     for i, entry in enumerate(walk):
-        marker_i = travel_marker(entry)
+        # The travel-oriented marker of step i, copied onto every copy of its edge.
+        mk = ix.marker[entry >> 1]
+        marker_i = (-mk[0], -mk[1]) if mk is not None and entry & 1 else mk
         for j in range(n):
             half = (copy_half_start[i][j], copy_half_end[i][j])
-            edges.append((next_eid, half, curve_id, marker_i))
+            edges.append(Edge(next_eid, half, curve_id, marker_i))
             next_eid += 1
 
     # Rebuild each visited vertex.  Step i ends at the vertex between step i
@@ -870,7 +847,8 @@ def parallel_copies(scene: Scene, curve_id: str, n: int) -> Scene:
         j_out = (i + 1) % m
         if ix.deg[entry ^ 1] == 2:
             for j in range(n):
-                vertices.append((next_vid, (copy_half_end[j_in][j], copy_half_start[j_out][j])))
+                cycle = (copy_half_end[j_in][j], copy_half_start[j_out][j])
+                vertices.append(Vertex(next_vid, cycle))
                 next_vid += 1
             continue
         # Crossing with another curve: cycle reads (out, left, in, right)
@@ -885,14 +863,14 @@ def parallel_copies(scene: Scene, curve_id: str, n: int) -> Scene:
         conn_right[0] = hid[c_right]
         conn_left[n - 1] = hid[c_left]
         for j in range(1, n):
-            h_a, h_b = fresh_half(), fresh_half()
-            edges.append((next_eid, (h_a, h_b), other_curve, zero))
+            h_a, h_b = next(fresh), next(fresh)
+            edges.append(Edge(next_eid, (h_a, h_b), other_curve, zero))
             next_eid += 1
             conn_left[j - 1] = h_a
             conn_right[j] = h_b
         for j in range(n):
             cycle = (copy_half_start[j_out][j], conn_left[j], copy_half_end[j_in][j], conn_right[j])
-            vertices.append((next_vid, cycle))
+            vertices.append(Vertex(next_vid, cycle))
             next_vid += 1
 
     new_curves = []
@@ -901,10 +879,7 @@ def parallel_copies(scene: Scene, curve_id: str, n: int) -> Scene:
             new_curves.append(Curve(c.id, c.expected_components * n))
         else:
             new_curves.append(c)
-    vid, cycles = map(list, zip(*vertices))
-    eid, halves, curve, marker = map(list, zip(*edges))
-    out = _checked_index(vid, cycles, eid, halves, curve, marker, new_curves)
-    return _indexed(f"copies({scene.name},{curve_id}x{n})", new_curves, out)
+    return Scene(f"copies({scene.name},{curve_id}x{n})", vertices, edges, new_curves)
 
 
 # ======================================================================
@@ -940,21 +915,21 @@ def canonical_form(scene: Scene, match_curves: bool = True):
       tried root is skipped, since it would give the same encoding (McKay and
       Piperno, "Practical graph isomorphism, II", 2014).
     """
-    ix = _index(scene)
-    face_len = {p: len(f) for f in _faces(scene) for p in f}
-    orbits = _orbits(scene)
-    labellings = [ix.curve] if match_curves else _curve_numberings(scene, ix)
+    ix = scene._index
+    face_len = {p: len(f) for f in _faces(ix) for p in f}
+    orbits = _orbits(ix)
+    labellings = [ix.curve] if match_curves else _curve_numberings(ix)
     return min(
         tuple(sorted(_component_form(ix, orbit, face_len, label) for orbit in orbits))
         for label in labellings
     )
 
 
-def _curve_numberings(scene: Scene, ix: _Index):
+def _curve_numberings(ix: _Index):
     """Per-edge curve numbers, one list for each bijection of the curves on
     edges onto 0..C-1 that lists them by (edge count, strand count), with
     every order of the curves that tie."""
-    strands = Counter(comp.curve for comp in components(scene).components)
+    strands = Counter(comp.curve for comp in _strands(ix)[0].components)
     tied: Dict[Tuple[int, int], List[str]] = {}
     for cid, n in Counter(ix.curve).items():
         tied.setdefault((n, strands[cid]), []).append(cid)
@@ -1063,7 +1038,7 @@ def _encode_rows(
 
 def scenes_isomorphic(a: Scene, b: Scene, match_curves: bool = True) -> bool:
     """Isomorphism of labelled rotation systems (markers included)."""
-    ia, ib = _index(a), _index(b)
+    ia, ib = a._index, b._index
     if len(ia.vid) != len(ib.vid) or len(ia.eid) != len(ib.eid):
         return False
     return canonical_form(a, match_curves) == canonical_form(b, match_curves)

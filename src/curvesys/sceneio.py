@@ -26,13 +26,13 @@ from pathlib import Path
 from typing import Any, Dict, Union
 
 from .errors import InvalidScene
-from .scene import Curve, Scene, _checked_index, _cycles, _index, _indexed
+from .scene import Curve, Scene, _checked_index, _cycles, _indexed
 
 __all__ = ["scene_to_dict", "scene_from_dict", "save_scene", "load_scene"]
 
 
 def scene_to_dict(scene: Scene) -> Dict[str, Any]:
-    ix = _index(scene)
+    ix = scene._index
     hid = ix.hid
     edges = []
     for i, a, b, c, m in zip(ix.eid, hid[::2], hid[1::2], ix.curve, ix.marker):

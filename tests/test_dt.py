@@ -115,6 +115,10 @@ def test_twist_multiply():
     assert twist_multiply(x, (0, 0, 0)) == x
     with pytest.raises(TwistOnMissedCurve):
         twist_multiply(x, (0, 1, 0))
+    # Exponents are exact ints: never truncated, read as 1 or added as floats.
+    for bad in ((0.5, 0, 0), (True, 0, 0), (2.0, 0, 0), ("1", 0, 0), (None, 0, 0)):
+        with pytest.raises(CountMismatch):
+            twist_multiply(x, bad)
 
 
 def test_dehn_twist():
@@ -127,6 +131,10 @@ def test_dehn_twist():
         dehn_twist(x, 4)
     with pytest.raises(UnknownCurveIndex):
         dehn_twist(x, 0)
+    # The curve index is an exact int: True is not curve 1, and 1.0 is no index.
+    for bad in (True, 1.0, "1", None):
+        with pytest.raises(UnknownCurveIndex):
+            dehn_twist(x, bad)
 
 
 def test_solve_twists():

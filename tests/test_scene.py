@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import re
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -135,25 +136,23 @@ def test_crossing_count_matches_intersection():
 
 def test_validate_nonalternating():
     # Two curve loops forced through one 4-valent vertex as A,A,B,B.
-    scene = Scene(
-        "bad",
-        vertices=[Vertex(0, (0, 1, 2, 3))],
-        edges=[Edge(0, (0, 1), "a"), Edge(1, (2, 3), "b")],
-        curves=[Curve("a"), Curve("b")],
-    )
     with pytest.raises(NonAlternatingCrossing):
-        validate(scene)
+        Scene(
+            "bad",
+            vertices=[Vertex(0, (0, 1, 2, 3))],
+            edges=[Edge(0, (0, 1), "a"), Edge(1, (2, 3), "b")],
+            curves=[Curve("a"), Curve("b")],
+        )
 
 
 def test_validate_dangling_half_edge():
-    scene = Scene(
-        "bad",
-        vertices=[Vertex(0, (0, 1)), Vertex(1, (2, 3))],
-        edges=[Edge(0, (0, 1), "a"), Edge(1, (2, 4), "a")],
-        curves=[Curve("a")],
-    )
     with pytest.raises(DanglingHalfEdge):
-        validate(scene)
+        Scene(
+            "bad",
+            vertices=[Vertex(0, (0, 1)), Vertex(1, (2, 3))],
+            edges=[Edge(0, (0, 1), "a"), Edge(1, (2, 4), "a")],
+            curves=[Curve("a")],
+        )
 
 
 def test_validate_single_essential_loop_not_cellular_on_torus():
@@ -771,13 +770,14 @@ def test_unmatched_curves_are_renamed_once_per_scene(grid):
 
 
 # ----------------------------------------------------------------------
-# structure is checked by every operation, once per scene
+# structure is checked when a scene is built, once per scene
 # ----------------------------------------------------------------------
 
 
 def _loose_scene(cycles, edges, curves=("a", "b")):
-    """A scene straight from the constructor, bypassing the file loader."""
-    return Scene(
+    """The records (name, vertices, edges, curves) of a scene, bypassing the
+    file loader; ``Scene(*records)`` checks them."""
+    return (
         "loose",
         [Vertex(i, tuple(c)) for i, c in enumerate(cycles)],
         [Edge(i, tuple(h), c) for i, (h, c) in enumerate(edges)],
@@ -793,25 +793,25 @@ def _theta_scene():  # two degree-3 vertices
     return _loose_scene([[0, 1, 2], [3, 5, 4]], [([0, 3], "a"), ([1, 4], "a"), ([2, 5], "b")])
 
 
-def _one_loop(vid=0, eid=0):  # one plain vertex on one edge
-    return Scene("m", [Vertex(vid, (0, 1))], [Edge(eid, (0, 1), "a")], [Curve("a")])
+def _one_loop(vid=0, eid=0):  # records of one plain vertex on one edge
+    return "m", [Vertex(vid, (0, 1))], [Edge(eid, (0, 1), "a")], [Curve("a")]
 
 
 def _grid_with_vertex_id(vid):
     grid = torus_grid_scene(1, 0, 0, 1)
-    return Scene(grid.name, [Vertex(vid, v.cycle) for v in grid.vertices], grid.edges, grid.curves)
+    return grid.name, [Vertex(vid, v.cycle) for v in grid.vertices], grid.edges, grid.curves
 
 
 @pytest.mark.parametrize(
     "probe",
     [
-        lambda: components(_path_scene()),
-        lambda: trivial_components(_path_scene()),
-        lambda: find_bigons(_path_scene(), "a", "a"),
-        lambda: components(_theta_scene()),
-        lambda: canonical_form(_theta_scene()),
-        lambda: components(_loose_scene([[0, 1]], [([0, 1], "a"), ([1, 0], "a")])),
-        lambda: trace_faces(_loose_scene([[0, 1], [1, 0]], [([0, 1], "a")])),
+        lambda: components(Scene(*_path_scene())),
+        lambda: trivial_components(Scene(*_path_scene())),
+        lambda: find_bigons(Scene(*_path_scene()), "a", "a"),
+        lambda: components(Scene(*_theta_scene())),
+        lambda: canonical_form(Scene(*_theta_scene())),
+        lambda: components(Scene(*_loose_scene([[0, 1]], [([0, 1], "a"), ([1, 0], "a")]))),
+        lambda: trace_faces(Scene(*_loose_scene([[0, 1], [1, 0]], [([0, 1], "a")]))),
         lambda: components(
             Scene("m", [Vertex(0, (0, 1))], [Edge(0, (0, 1), "a", (1,))], [Curve("a")])
         ),
@@ -823,9 +823,9 @@ def _grid_with_vertex_id(vid):
         lambda: components(Scene("m", [Vertex(0, (0, 1))], [Edge([0], (0, 1), "a")], [Curve("a")])),
         lambda: components(Scene("m", [Vertex(0, (0, 1))], [Edge(0, (0, 1), "a")], [Curve(["a"])])),
         lambda: components(Scene("m", [Vertex(0, (0, 1))], [Edge(0, (0, 1), ["a"])], [Curve("a")])),
-        *(lambda bad=bad: components(_one_loop(vid=bad)) for bad in ("x", 1.5, True)),
-        *(lambda bad=bad: components(_one_loop(eid=bad)) for bad in ("x", 1.5, True)),
-        lambda: resolve(_grid_with_vertex_id("x"), "a", "b"),
+        *(lambda bad=bad: components(Scene(*_one_loop(vid=bad))) for bad in ("x", 1.5, True)),
+        *(lambda bad=bad: components(Scene(*_one_loop(eid=bad))) for bad in ("x", 1.5, True)),
+        lambda: resolve(Scene(*_grid_with_vertex_id("x")), "a", "b"),
         lambda: components(
             Scene("m", [Vertex(0, (0, 1))], [Edge(0, (False, 1), "a")], [Curve("a")])
         ),
@@ -835,6 +835,12 @@ def _grid_with_vertex_id(vid):
         lambda: components(
             Scene("m", [Vertex(0, (0, 1))], [Edge(0, (0, 1), "a", (True, 0))], [Curve("a")])
         ),
+        *(
+            lambda bad=bad: validate(
+                Scene("m", [Vertex(0, (0, 1))], [Edge(0, (0, 1), "a")], [Curve("a", bad)])
+            )
+            for bad in (True, 1.0, "1", -1)
+        ),
     ],
     ids=["degree1-components", "degree1-trivial", "degree1-bigons", "degree3-components",
          "degree3-canonical-form", "half-on-two-edges", "half-in-two-cycles", "short-marker",
@@ -842,7 +848,9 @@ def _grid_with_vertex_id(vid):
          "unhashable-vertex-id", "unhashable-edge-id", "unhashable-curve-id",
          "unhashable-edge-curve", "str-vertex-id", "float-vertex-id", "bool-vertex-id",
          "str-edge-id", "float-edge-id", "bool-edge-id", "str-vertex-id-resolve",
-         "bool-half-edge", "bool-in-cycle", "bool-marker"],
+         "bool-half-edge", "bool-in-cycle", "bool-marker", "bool-expected-components",
+         "float-expected-components", "str-expected-components",
+         "negative-expected-components"],
 )
 def test_malformed_scenes_raise_in_the_library(probe):
     with pytest.raises(CurveSysError):
@@ -855,13 +863,15 @@ _HALVES = st.integers(0, 9)
 
 @st.composite
 def _random_rotation_systems(draw):
-    """Small rotation systems of any shape: vertices of any degree, half-edges
-    on no edge, in two cycles or twice on one edge, and unknown curves."""
+    """Builders of small rotation systems of any shape: vertices of any
+    degree, half-edges on no edge, in two cycles or twice on one edge, and
+    unknown curves."""
     cycles = draw(st.lists(st.lists(_HALVES, max_size=5), max_size=5))
     edges = draw(st.lists(st.tuples(st.tuples(_HALVES, _HALVES), _CURVE_IDS), max_size=6))
     curves = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
     marked = draw(st.booleans())
-    return Scene(
+    return partial(
+        Scene,
         "random",
         [Vertex(i, tuple(c)) for i, c in enumerate(cycles)],
         [Edge(i, h, c, (1, 0) if marked else None) for i, (h, c) in enumerate(edges)],
@@ -871,7 +881,8 @@ def _random_rotation_systems(draw):
 
 @st.composite
 def _mutated_grids(draw):
-    """A small grid, either intact or with one structural fault."""
+    """The builder of a small grid's records, either intact or with one
+    structural fault."""
     p, q, r, s = draw(st.sampled_from([(1, 0, 0, 1), (2, 1, 1, 1), (2, 0, 0, 1), (3, 1, 1, 2)]))
     grid = torus_grid_scene(p, q, r, s)
     vertices, edges = list(grid.vertices), list(grid.edges)
@@ -890,7 +901,15 @@ def _mutated_grids(draw):
         vertices[i] = Vertex(v.id, (c[0], c[2], c[1], c[3]))
     elif fault == "same-half":
         edges[j] = Edge(e.id, (e.half[0], e.half[0]), e.curve, e.marker)
-    return Scene(grid.name, vertices, edges, grid.curves)
+    return partial(Scene, grid.name, vertices, edges, grid.curves)
+
+
+def _built(build):
+    """The scene a builder makes, or None if it raises a CurveSysError."""
+    try:
+        return build()
+    except CurveSysError:
+        return None
 
 
 def _every_operation(scene):
@@ -916,7 +935,12 @@ def _every_operation(scene):
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(_random_rotation_systems(), _mutated_grids()))
-def test_every_operation_returns_or_raises_a_curvesys_error(scene):
+def test_every_operation_returns_or_raises_a_curvesys_error(build):
+    """Construction raises a CurveSysError, or every operation on the scene
+    returns or raises one."""
+    scene = _built(build)
+    if scene is None:
+        return
     for op in _every_operation(scene):
         try:
             op()
@@ -936,7 +960,9 @@ def test_structure_faces_and_strands_built_once_per_scene(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(scene_module, "_build_index", counted("index", scene_module._build_index))
+    monkeypatch.setattr(
+        scene_module, "_checked_index", counted("index", scene_module._checked_index)
+    )
     monkeypatch.setattr(scene_module, "_trace", counted("faces", scene_module._trace))
     monkeypatch.setattr(
         scene_module, "_walk_strands", counted("strands", scene_module._walk_strands)
@@ -963,14 +989,13 @@ _INDEX_PARTS = (
 
 def _assert_derived_index_is_checked_index(out):
     """The index a scene got at construction (from ``resolve`` or a grid
-    constructor) equals the one a full check of its records builds."""
+    constructor) equals the one a scene built from its records checks."""
     import curvesys.scene as scene_module
 
     # Every column is compared; only faces, orbits and strands are derived.
     assert set(scene_module._Index.__slots__) - set(_INDEX_PARTS) == {"faces", "orbits", "strands"}
     derived = out._index
-    assert derived is not None
-    built = scene_module._build_index(Scene(out.name, out.vertices, out.edges, out.curves))
+    built = Scene(out.name, out.vertices, out.edges, out.curves)._index
     for part in _INDEX_PARTS:
         assert getattr(derived, part) == getattr(built, part), (out.name, part)
 
@@ -1069,13 +1094,11 @@ def test_dart_scenes_raise_what_their_records_raise(mutate):
     mutate(cols)
     cycles, curve, marker, curves = cols
     with pytest.raises(CurveSysError) as from_records:
-        scene_module._build_index(
-            Scene(
-                "g",
-                [Vertex(k, c) for k, c in enumerate(cycles)],
-                [Edge(k, (2 * k, 2 * k + 1), c, m) for k, (c, m) in enumerate(zip(curve, marker))],
-                curves,
-            )
+        Scene(
+            "g",
+            [Vertex(k, c) for k, c in enumerate(cycles)],
+            [Edge(k, (2 * k, 2 * k + 1), c, m) for k, (c, m) in enumerate(zip(curve, marker))],
+            curves,
         )
     vid, eid = list(range(len(cycles))), list(range(len(curve)))
     halves = [(2 * k, 2 * k + 1) for k in eid]
@@ -1083,30 +1106,31 @@ def test_dart_scenes_raise_what_their_records_raise(mutate):
         scene_module._checked_index(vid, cycles, eid, halves, curve, marker, curves)
 
 
-def _file_of(scene):
-    """The scene file of a scene given as records, as the loader reads it."""
-    edges = []
-    for e in scene.edges:
+def _file_of(records):
+    """The scene file of a scene's records, as the loader reads it."""
+    name, vertices, edges, curves = records
+    rows = []
+    for e in edges:
         rec = {"id": e.id, "half": e.half, "curve": e.curve}
         if e.marker is not None:
             rec["marker"] = e.marker
-        edges.append(rec)
+        rows.append(rec)
     data = {
-        "name": scene.name,
-        "vertices": [{"id": v.id, "halfedges_ccw": v.cycle} for v in scene.vertices],
-        "edges": edges,
-        "curves": [{"id": c.id} for c in scene.curves],
+        "name": name,
+        "vertices": [{"id": v.id, "halfedges_ccw": v.cycle} for v in vertices],
+        "edges": rows,
+        "curves": [{"id": c.id} for c in curves],
     }
     return json.loads(json.dumps(data))
 
 
-def _assert_loader_raises_what_records_raise(scene, same_message=True):
+def _assert_loader_raises_what_records_raise(records, same_message=True):
     from curvesys.sceneio import scene_from_dict
 
     with pytest.raises(CurveSysError) as from_records:
-        components(scene)
+        Scene(*records)
     with pytest.raises(CurveSysError) as from_file:
-        scene_from_dict(_file_of(scene))
+        scene_from_dict(_file_of(records))
     assert type(from_file.value) is type(from_records.value)
     if same_message:
         assert str(from_file.value) == str(from_records.value)
@@ -1119,14 +1143,14 @@ def _assert_loader_raises_what_records_raise(scene, same_message=True):
 )
 def test_loader_raises_what_records_raise_on_grid_faults(mutate):
     """The faults of ``test_dart_scenes_raise_what_their_records_raise``, as
-    files: the loader raises at load the error, type and message, that the
-    first operation on the same records raises."""
+    files: the loader raises at load the error, type and message, that a
+    scene built from the same records raises."""
     cols = list(_grid_columns(torus_grid_scene(3, 1, -1, 2)))
     cols[:3] = (list(col) for col in cols[:3])
     mutate(cols)
     cycles, curve, marker, curves = cols
     _assert_loader_raises_what_records_raise(
-        Scene(
+        (
             "g",
             [Vertex(k, c) for k, c in enumerate(cycles)],
             [Edge(k, (2 * k, 2 * k + 1), c, m) for k, (c, m) in enumerate(zip(curve, marker))],
@@ -1136,7 +1160,7 @@ def test_loader_raises_what_records_raise_on_grid_faults(mutate):
 
 
 def _one_edge(vertex=(0, (0, 1)), edge=(0, (0, 1), "a", None), curve="a"):
-    return Scene("m", [Vertex(*vertex)], [Edge(*edge)], [Curve(curve)])
+    return "m", [Vertex(*vertex)], [Edge(*edge)], [Curve(curve)]
 
 
 # The probes of test_malformed_scenes_raise_in_the_library that a scene file
@@ -1289,14 +1313,19 @@ def test_grid_records_are_built_only_when_read(monkeypatch):
     assert grid.vertices is vertices and grid.edges is edges and len(built) == 1
 
 
-@st.composite
-def _three_line_families(draw):
-    """Three straight families a, b, c on the torus, parallel ones included."""
-    vecs = draw(st.lists(vectors, min_size=3, max_size=3))
+def _lines_or_grid(families):
     try:
-        return torus_lines_scene(list(zip("abc", vecs)))
+        return torus_lines_scene(families)
     except CurveSysError:  # all three parallel
         return torus_grid_scene(1, 0, 0, 1)
+
+
+@st.composite
+def _three_line_families(draw):
+    """Builders of three straight families a, b, c on the torus, parallel
+    ones included."""
+    vecs = draw(st.lists(vectors, min_size=3, max_size=3))
+    return partial(_lines_or_grid, list(zip("abc", vecs)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -1304,7 +1333,12 @@ def _three_line_families(draw):
     st.one_of(_random_rotation_systems(), _mutated_grids(), _three_line_families()),
     st.sampled_from(["after", "before"]),
 )
-def test_resolve_derives_the_checked_index_on_random_scenes(scene, convention):
+def test_resolve_derives_the_checked_index_on_random_scenes(build, convention):
+    """Construction raises a CurveSysError, or every resolve output of the
+    scene, and each output resolved again, carries the checked index."""
+    scene = _built(build)
+    if scene is None:
+        return
     for frm, to in (("a", "b"), ("b", "c"), ("c", "a")):
         try:
             out = resolve(scene, frm, to, convention=convention)
@@ -1320,24 +1354,25 @@ def test_resolve_derives_the_checked_index_on_random_scenes(scene, convention):
 
 
 def test_resolve_outputs_are_not_indexed_again(monkeypatch):
+    import curvesys.grids as grids_module
     import curvesys.scene as scene_module
 
-    calls = {"_build_index": 0, "_walk_strands": 0}
+    calls = {"_checked_index": 0, "_walk_strands": 0, "grids": 0}
 
-    def counted(name):
-        fn = getattr(scene_module, name)
-
+    def counted(name, fn):
         def wrapper(*args):
             calls[name] += 1
             return fn(*args)
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(scene_module, name, counted(name))
+    for name in ("_checked_index", "_walk_strands"):
+        monkeypatch.setattr(scene_module, name, counted(name, getattr(scene_module, name)))
+    monkeypatch.setattr(
+        grids_module, "_checked_index", counted("grids", grids_module._checked_index)
+    )
     assert suite_resolution_oracle(4).ok
-    # Only the three corpus controls are checked from records; the 1,249
-    # grids are checked on their dart cycles as they are built, the 2,496
-    # resolve outputs carry derived indexes, and every scene's strands are
-    # still walked once.
-    assert calls == {"_build_index": 3, "_walk_strands": 3250}
+    # Only the three corpus controls are built from records and the 1,249
+    # grids from their columns; the 2,496 resolve outputs carry derived
+    # indexes, and every scene's strands are still walked once.
+    assert calls == {"_checked_index": 3, "_walk_strands": 3250, "grids": 1249}
