@@ -474,18 +474,18 @@ def suite_resolution_oracle(bound: int = 4, convention: str = "after") -> SuiteR
                 fail("no-trivial-components", f"{len(trivial)} trivial", "none", (frm, to))
 
     def run(rep: SuiteReport) -> None:
+        # Canonical classes as (x, y) tuples, which order as the classes do.
+        classes = [(c.x, c.y) for c in (normalize(p, q) for p, q in _vec_iter(bound))]
         seen = set()
-        for p, q in _vec_iter(bound):
-            for r, s in _vec_iter(bound):
-                if p * s - q * r == 0:
+        for a in classes:
+            for b in classes:
+                if a[0] * b[1] - a[1] * b[0] == 0:
                     continue
-                a, b = normalize(p, q), normalize(r, s)
                 key = (min(a, b), max(a, b))
                 if key in seen:
                     continue
                 seen.add(key)
-                va, vb = key
-                check_pair(rep, va.x, va.y, vb.x, vb.y, deep=True)
+                check_pair(rep, *key[0], *key[1], deep=True)
         small = min(bound, 2)
         for p, q in _vec_iter(small):
             for r, s in _vec_iter(small):

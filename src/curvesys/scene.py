@@ -14,10 +14,11 @@ Every scene has one checked dart index (edge k owns darts 2k and 2k + 1, so
 alpha is p ^ 1), and one constructor builds it from columns: vertex ids,
 vertex cycles as half-edge ids, edge ids, edge halves, curve labels, markers
 and the curve records.  It maps half-edge ids to darts and checks integer
-ids, half-edges and markers, half-edge bookkeeping, vertex degrees 2 or 4,
-alternating crossings, curve ids and expected component counts, raising a
-SceneError on the first violation.  Every scene is checked when it is built:
-``Scene(...)`` feeds it its records' columns, and the file loader and the grid
+ids, half-edges and markers, string curve ids and labels, half-edge
+bookkeeping, vertex degrees 2 or 4, alternating crossings and expected
+component counts, raising a SceneError on the first violation.  Every scene
+is checked when it is built: ``Scene(...)`` checks its name is a string and
+feeds it its records' columns, and the file loader and the grid
 constructors hand it theirs (for a grid each half-edge id is its dart), so no
 scene exists that failed the check.  ``resolve`` derives its output's index
 from the input's checked one by a local rewrite of sigma, degrees and the
@@ -105,10 +106,11 @@ class Curve:
 
 class Scene:
     """An immutable rotation system with curve-labelled edges, checked when
-    it is built: the constructor indexes its records' columns with the one
-    checked constructor and raises a SceneError on the first violation.  The
-    loader, the grid constructors and ``resolve`` hand over a checked index
-    instead and build the records only when they are first read.
+    it is built: the name must be a string, and the constructor indexes its
+    records' columns with the one checked constructor and raises a SceneError
+    on the first violation, so every scene can be saved and loaded again.
+    The loader, the grid constructors and ``resolve`` hand over a checked
+    index instead and build the records only when they are first read.
     :func:`validate` adds the Euler bookkeeping and cellularity.
     """
 
@@ -121,6 +123,8 @@ class Scene:
         edges: Iterable[Edge],
         curves: Iterable[Curve],
     ) -> None:
+        if type(name) is not str:
+            raise InvalidScene(f"the scene name must be a string, got {name!r}")
         vs, es = tuple(vertices), tuple(edges)
         self.name = name
         self.curves: Tuple[Curve, ...] = tuple(curves)
@@ -278,10 +282,11 @@ def _checked_index(
             raise InvalidScene(f"{what} ids must be integers, got {bad!r}")
         if len(set(ids)) != len(ids):
             raise InvalidScene(f"duplicate {what} ids")
-    try:
-        names, used = {c.id for c in curves}, set(curve)
-    except TypeError:
-        raise InvalidScene("curve ids must be hashable") from None
+    labels = [c.id for c in curves]
+    if not {str}.issuperset(map(type, chain(labels, curve))):
+        bad = next(x for x in chain(labels, curve) if type(x) is not str)
+        raise InvalidScene(f"curve ids and edge curve labels must be strings, got {bad!r}")
+    names, used = set(labels), set(curve)
     if len(names) != len(curves):
         raise InvalidScene("duplicate curve ids")
     for c in curves:
@@ -891,21 +896,22 @@ def canonical_form(scene: Scene, match_curves: bool = True):
     """A hashable canonical encoding, equal exactly for isomorphic scenes.
 
     Each graph component is encoded by a breadth-first relabelling of its
-    half-edges from a root; the lexicographically smallest encoding over the
-    candidate roots wins, and the component encodings are sorted.  Curve
-    labels are kept literally when ``match_curves`` is true.  Otherwise a curve
-    id is global, so it is renamed once for the whole scene: the curves on
-    edges are numbered 0..C-1 in order of (edge count, strand count), which is
-    invariant, and the smallest encoding over every numbering of tied curves
-    wins; that tries k! numberings for k tied curves.  Markers participate,
-    oriented by the traversal.
+    darts, read in place on the index, from a root; the lexicographically
+    smallest encoding over the candidate roots wins, and the component
+    encodings are sorted.  Curve labels are kept literally when
+    ``match_curves`` is true.  Otherwise a curve id is global, so it is
+    renamed once for the whole scene: the curves on edges are numbered
+    0..C-1 in order of (edge count, strand count), which is invariant, and
+    the smallest encoding over every numbering of tied curves wins; that
+    tries k! numberings for k tied curves.  Markers participate, oriented by
+    the traversal.
 
     Three devices keep the search close to linear in practice, and none lets
     ids leak into the result:
 
-    * Root classes.  Every half-edge gets an isomorphism-invariant class
-      (vertex degree, face length, oriented marker and curve label); roots
-      come only from the class that is smallest by (size, class).  That
+    * Root classes.  Every dart gets an isomorphism-invariant class (vertex
+      degree, face length, oriented marker and curve label); roots come only
+      from the class smallest by (count in the component, class).  That
       choice is itself invariant.
     * Early abandon.  Each encoding is compared row by row with the best so
       far while the search builds it, and dropped at the first larger row.
@@ -916,13 +922,25 @@ def canonical_form(scene: Scene, match_curves: bool = True):
       Piperno, "Practical graph isomorphism, II", 2014).
     """
     ix = scene._index
-    face_len = {p: len(f) for f in _faces(ix) for p in f}
+    n = len(ix.nxt)
+    face_len = [0] * n
+    for f in _faces(ix):
+        k = len(f)
+        for p in f:
+            face_len[p] = k
+    mark: List[Tuple[int, ...]] = []  # per dart: its marker oriented along it, () for none
+    for m in ix.marker:
+        mark += ((), ()) if m is None else (m, (-m[0], -m[1]))
     orbits = _orbits(ix)
-    labellings = [ix.curve] if match_curves else _curve_numberings(ix)
-    return min(
-        tuple(sorted(_component_form(ix, orbit, face_len, label) for orbit in orbits))
-        for label in labellings
-    )
+    order = [-1] * n  # per dart: its breadth-first position, -1 outside an encoding
+    forms = []
+    for label in [ix.curve] if match_curves else _curve_numberings(ix):
+        key = list(zip(ix.deg, face_len, mark, chain.from_iterable(zip(label, label))))
+        orbit_of = list(range(n))  # union-find over automorphism orbits of darts
+        tried = bytearray(n)  # per union-find root: the orbit holds a tried root
+        comps = (_component_form(ix.nxt, key, orbit, order, orbit_of, tried) for orbit in orbits)
+        forms.append(tuple(sorted(comps)))
+    return min(forms)
 
 
 def _curve_numberings(ix: _Index):
@@ -940,34 +958,14 @@ def _curve_numberings(ix: _Index):
 
 
 def _component_form(
-    ix: _Index, halves: Cycle, face_len_of: Dict[int, int], label: List
+    nxt: List[int], key: List[Tuple], orbit: Cycle, order: List[int], orbit_of: List[int],
+    tried: bytearray,
 ) -> Tuple:
-    """Canonical encoding of one graph component given its darts and a curve
-    label per edge."""
-    n = len(halves)
-    index = {p: i for i, p in enumerate(halves)}
-    nxt = [index[ix.nxt[p]] for p in halves]  # sigma, as positions in ``halves``
-    par = [index[p ^ 1] for p in halves]  # alpha
-    deg = [ix.deg[p] for p in halves]
-    face_len = [face_len_of[p] for p in halves]
-    curve = [label[p >> 1] for p in halves]
-    mark: List[Tuple[int, int, int]] = []  # marker oriented along the dart
-    for p in halves:
-        m = ix.marker[p >> 1]
-        if m is None:
-            mark.append((0, 0, 0))
-        elif p & 1:
-            mark.append((1, -m[0], -m[1]))
-        else:
-            mark.append((1, m[0], m[1]))
-
-    classes: Dict[Tuple, List[int]] = {}
-    for i in range(n):
-        classes.setdefault((deg[i], face_len[i], mark[i], curve[i]), []).append(i)
-    roots = min(classes.items(), key=lambda kv: (len(kv[1]), kv[0]))[1]
-
-    orbit_of = list(range(n))  # union-find over automorphism orbits
-    tried = [False] * n  # per union-find root: the orbit holds a tried root
+    """Canonical encoding of one graph component, given its darts and each
+    dart's class, searched from the darts of its rarest class."""
+    keys = list(map(key.__getitem__, orbit))
+    counts = Counter(keys)
+    rare = min(counts, key=lambda c: (counts[c], c))
 
     def find(x: int) -> int:
         while orbit_of[x] != x:
@@ -977,12 +975,15 @@ def _component_form(
 
     best: Optional[List[Tuple]] = None
     best_queue: List[int] = []
-    for root in roots:
+    at = -1
+    for _ in range(counts[rare]):
+        at = keys.index(rare, at + 1)
+        root = orbit[at]
         r = find(root)
         if tried[r]:
             continue
-        tried[r] = True
-        found = _encode_rows(root, nxt, par, curve, mark, best)
+        tried[r] = 1
+        found = _encode_rows(root, nxt, key, order, best)
         if found is None:
             continue
         rows, queue, tie = found
@@ -998,42 +999,41 @@ def _component_form(
 
 
 def _encode_rows(
-    root: int,
-    nxt: List[int],
-    par: List[int],
-    curve: List,
-    mark: List[Tuple[int, int, int]],
-    best: Optional[List[Tuple]],
+    root: int, nxt: List[int], key: List[Tuple], order: List[int], best: Optional[List[Tuple]]
 ):
-    """Breadth-first encoding from ``root``, one row per visited half-edge:
-    (position of ccw-next, position of partner, curve label, oriented marker).
+    """Breadth-first encoding from ``root``, one row per visited dart:
+    (position of sigma, position of alpha, class of the dart).  ``order``
+    holds -1 for every dart on entry and again on return.
 
     Returns None as soon as a row makes the encoding larger than ``best``;
     otherwise (rows, visiting order, whether the rows equal ``best``).
     """
-    order = [-1] * len(nxt)
     order[root] = 0
     queue = [root]
     rows: List[Tuple] = []
-    tie = best is not None
+    tie, abandoned = best is not None, False
+    k = 1  # the next position, len(queue)
     for h in queue:
         a = nxt[h]
         if order[a] < 0:
-            order[a] = len(queue)
+            order[a] = k
+            k += 1
             queue.append(a)
-        b = par[h]
+        b = h ^ 1
         if order[b] < 0:
-            order[b] = len(queue)
+            order[b] = k
+            k += 1
             queue.append(b)
-        row = (order[a], order[b], curve[h], mark[h])
-        if tie:
-            other = best[len(rows)]
-            if row != other:
-                if row > other:
-                    return None
-                tie = False
+        row = (order[a], order[b], key[h])
+        if tie and row != best[order[h]]:
+            if row > best[order[h]]:
+                abandoned = True
+                break
+            tie = False
         rows.append(row)
-    return rows, queue, tie
+    for h in queue:
+        order[h] = -1
+    return None if abandoned else (rows, queue, tie)
 
 
 def scenes_isomorphic(a: Scene, b: Scene, match_curves: bool = True) -> bool:

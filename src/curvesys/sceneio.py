@@ -51,7 +51,9 @@ def scene_to_dict(scene: Scene) -> Dict[str, Any]:
 def scene_from_dict(data: Dict[str, Any]) -> Scene:
     """Scene of a parsed scene file, checked as it is built.  Ids, half-edges
     and marker entries must be plain ints (floats, strings and bools raise
-    InvalidScene), the name and curve labels strings, and the tables lists."""
+    InvalidScene), the name and curve labels strings, and the tables lists;
+    the scene's checked constructor holds every check but the name's and the
+    tables'."""
     try:
         vs, es, cs = data["vertices"], data["edges"], data["curves"]
         if {type(vs), type(es), type(cs)} != {list}:
@@ -64,12 +66,8 @@ def scene_from_dict(data: Dict[str, Any]) -> Scene:
         marker = [e.get("marker") for e in es]
         curves = [Curve(c["id"]) for c in cs]
         name = data.get("name", "scene")
-        labels = [name, *(c.id for c in curves), *curve]
-        if not {str}.issuperset(map(type, labels)):
-            bad = next(x for x in labels if type(x) is not str)
-            raise ValueError(
-                f"the name, curve ids and edge curve labels must be strings, got {bad!r}"
-            )
+        if type(name) is not str:
+            raise ValueError(f"the scene name must be a string, got {name!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidScene(f"malformed scene file: {exc}") from exc
     return _indexed(name, curves, _checked_index(vid, cycles, eid, halves, curve, marker, curves))

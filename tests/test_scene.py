@@ -5,10 +5,13 @@ import itertools
 import json
 import random
 import re
+import tempfile
+from collections import defaultdict
 from functools import partial
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from curvesys.corpus import bigon_scene, genus2_filling_pair, trivial_component_scene
 from curvesys.errors import (
@@ -43,7 +46,7 @@ from curvesys.scene import (
     trivial_components,
     validate,
 )
-from curvesys.sceneio import scene_to_dict
+from curvesys.sceneio import load_scene, save_scene, scene_to_dict
 from curvesys.torus import intersection, multiply, normalize, signed_power_multiply
 
 
@@ -734,6 +737,7 @@ def _disjoint_union(x, y, rename=None):
     """x beside a copy of y on fresh ids, its curves renamed by ``rename``;
     both keep one global set of curve ids."""
     rename = rename or {}
+    ids = [c.id for c in x.curves] + [rename.get(c.id, c.id) for c in y.curves]
     mv, me, mh = (m + 1 for m in x.max_ids())
     vertices = list(x.vertices) + [
         Vertex(v.id + mv, tuple(h + mh for h in v.cycle)) for v in y.vertices
@@ -742,7 +746,7 @@ def _disjoint_union(x, y, rename=None):
         Edge(e.id + me, (e.half[0] + mh, e.half[1] + mh), rename.get(e.curve, e.curve), e.marker)
         for e in y.edges
     ]
-    return Scene(f"{x.name}+{y.name}", vertices, edges, [Curve("a"), Curve("b")])
+    return Scene(f"{x.name}+{y.name}", vertices, edges, [Curve(c) for c in dict.fromkeys(ids)])
 
 
 @pytest.mark.parametrize(
@@ -841,6 +845,10 @@ def _grid_with_vertex_id(vid):
             )
             for bad in (True, 1.0, "1", -1)
         ),
+        lambda: Scene(7, [Vertex(0, (0, 1))], [Edge(0, (0, 1), 1)], [Curve(1)]),
+        lambda: Scene(7, *_one_loop()[1:]),
+        lambda: Scene("m", [Vertex(0, (0, 1))], [Edge(0, (0, 1), 1)], [Curve(1)]),
+        lambda: Scene(*_one_loop()[:3], [Curve("a"), Curve(("b",))]),
     ],
     ids=["degree1-components", "degree1-trivial", "degree1-bigons", "degree3-components",
          "degree3-canonical-form", "half-on-two-edges", "half-in-two-cycles", "short-marker",
@@ -850,7 +858,8 @@ def _grid_with_vertex_id(vid):
          "str-edge-id", "float-edge-id", "bool-edge-id", "str-vertex-id-resolve",
          "bool-half-edge", "bool-in-cycle", "bool-marker", "bool-expected-components",
          "float-expected-components", "str-expected-components",
-         "negative-expected-components"],
+         "negative-expected-components", "int-name-curve-and-label", "int-name",
+         "int-curve-and-label", "tuple-unused-curve-id"],
 )
 def test_malformed_scenes_raise_in_the_library(probe):
     with pytest.raises(CurveSysError):
@@ -1124,7 +1133,7 @@ def _file_of(records):
     return json.loads(json.dumps(data))
 
 
-def _assert_loader_raises_what_records_raise(records, same_message=True):
+def _assert_loader_raises_what_records_raise(records):
     from curvesys.sceneio import scene_from_dict
 
     with pytest.raises(CurveSysError) as from_records:
@@ -1132,8 +1141,7 @@ def _assert_loader_raises_what_records_raise(records, same_message=True):
     with pytest.raises(CurveSysError) as from_file:
         scene_from_dict(_file_of(records))
     assert type(from_file.value) is type(from_records.value)
-    if same_message:
-        assert str(from_file.value) == str(from_records.value)
+    assert str(from_file.value) == str(from_records.value)
 
 
 @pytest.mark.parametrize(
@@ -1197,9 +1205,10 @@ def test_loader_raises_what_records_raise_on_malformed_scenes(probe):
     ids=["unhashable-curve-id", "unhashable-edge-curve"],
 )
 def test_loader_rejects_non_string_curve_labels_first(scene):
-    """Curve ids and labels that are not strings: the loader's own string
-    check raises the records path's error type, with its own message."""
-    _assert_loader_raises_what_records_raise(scene, same_message=False)
+    """Curve ids and labels that are not strings: the loader hands them to
+    the checked constructor, whose string check raises before any label is
+    hashed, with the error and message that the records path raises."""
+    _assert_loader_raises_what_records_raise(scene)
 
 
 @pytest.fixture(scope="module")
@@ -1376,3 +1385,177 @@ def test_resolve_outputs_are_not_indexed_again(monkeypatch):
     # grids from their columns; the 2,496 resolve outputs carry derived
     # indexes, and every scene's strands are still walked once.
     assert calls == {"_checked_index": 3, "_walk_strands": 3250, "grids": 1249}
+
+
+# ----------------------------------------------------------------------
+# every scene that is built can be saved and loaded again
+# ----------------------------------------------------------------------
+
+_ODD_LABELS = st.one_of(
+    st.sampled_from("ab"), st.text(max_size=2), st.integers(-1, 1), st.none(), st.tuples(st.just("a"))
+)
+
+
+@st.composite
+def _grids_with_odd_labels(draw):
+    """The builder of a small grid's records whose name, curve ids and edge
+    curve labels are drawn from strings and from values that are not."""
+    grid = torus_grid_scene(*draw(st.sampled_from([(1, 0, 0, 1), (2, 1, 1, 1)])))
+    name, a, b = draw(_ODD_LABELS), draw(_ODD_LABELS), draw(_ODD_LABELS)
+    declared = draw(st.sampled_from([(a, b), ("a", "b"), (a, b, draw(_ODD_LABELS))]))
+    rename = {"a": a, "b": b}
+    edges = [Edge(e.id, e.half, rename[e.curve], e.marker) for e in grid.edges]
+    return partial(Scene, name, grid.vertices, edges, [Curve(c) for c in declared])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_random_rotation_systems(), _mutated_grids(), _grids_with_odd_labels()))
+def test_every_scene_that_is_built_loads_back_from_its_file(build):
+    scene = _built(build)
+    if scene is None:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scene.json"
+        save_scene(scene, path)
+        again = load_scene(path)
+    assert scene_to_dict(again) == scene_to_dict(scene)
+
+
+# ----------------------------------------------------------------------
+# isomorphism against an independent VF2 matcher
+# ----------------------------------------------------------------------
+
+
+def _vf2_graph(scene, match_curves):
+    """The scene as a digraph read from its records: a node per half-edge,
+    labelled with its oriented marker; an arc to its ccw-next and one to its
+    partner, told apart by their kinds; and a node per curve on edges, with
+    an arc from every half-edge on it, labelled with the curve's id only when
+    curves are matched.  A label-preserving isomorphism of two such graphs is
+    an isomorphism of the labelled rotation systems, and it maps the curves
+    bijectively, so no order of the curves is tried."""
+    import networkx as nx
+
+    nxt, par, edge = _rotation(scene)
+    kinds = defaultdict(set)  # arc -> its kinds; sigma and alpha may share one
+    graph = nx.DiGraph()
+    for h, e in edge.items():
+        m = None if e.marker is None else tuple(e.marker)
+        if m is not None and h != e.half[0]:
+            m = (-m[0], -m[1])
+        curve = ("curve", e.curve)
+        graph.add_node(h, label=("half-edge", m))
+        graph.add_node(curve, label=("curve", e.curve if match_curves else None))
+        kinds[h, nxt[h]].add("sigma")
+        kinds[h, par[h]].add("alpha")
+        kinds[h, curve].add("on")
+    for (u, v), kind in kinds.items():
+        graph.add_edge(u, v, kind=frozenset(kind))
+    return graph
+
+
+def _vf2_isomorphic(x, y, match_curves):
+    from networkx.algorithms.isomorphism import (
+        DiGraphMatcher,
+        categorical_edge_match,
+        categorical_node_match,
+    )
+
+    return DiGraphMatcher(
+        _vf2_graph(x, match_curves),
+        _vf2_graph(y, match_curves),
+        node_match=categorical_node_match("label", None),
+        edge_match=categorical_edge_match("kind", None),
+    ).is_isomorphic()
+
+
+_INTACT = [
+    partial(torus_grid_scene, 1, 0, 0, 1),
+    partial(torus_grid_scene, 2, 1, 1, 1),
+    partial(torus_grid_scene, 1, 0, 1, 2),
+    partial(torus_grid_scene, 1, 0, 0, 2),
+    partial(torus_grid_scene, 3, 1, 1, 2),
+    partial(torus_grid_scene, 2, 0, 0, 3),
+    lambda: _markerless(torus_grid_scene(1, 0, 0, 2)),
+    lambda: _markerless(torus_grid_scene(3, 1, -1, 2)),
+    lambda: resolve(torus_grid_scene(2, 0, 0, 3), "a", "b"),
+    lambda: resolve(_markerless(torus_grid_scene(3, 1, 1, 2)), "b", "a"),
+    lambda: parallel_copies(torus_grid_scene(1, 0, 0, 1), "a", 3),
+    lambda: torus_lines_scene([("a", (1, 0)), ("b", (0, 1)), ("c", (1, 1))]),
+    genus2_filling_pair,
+    trivial_component_scene,
+]
+
+
+@st.composite
+def _iso_pairs(draw):
+    """Two scenes: one from the random, mutated or intact builders, and a
+    relabelled copy of it (with its curves permuted or not), a relabelled
+    near miss, another drawn scene, or two disjoint unions of it with itself
+    that differ by a permutation of the curves in one half."""
+    builders = st.one_of(_random_rotation_systems(), _mutated_grids(), st.sampled_from(_INTACT))
+    x = _built(draw(builders))
+    if x is None:
+        return None
+    rng = draw(st.randoms(use_true_random=False))
+    ids = [c.id for c in x.curves]
+    perm = dict(zip(ids, rng.sample(ids, len(ids))))
+    how = draw(st.sampled_from(["copy", "permuted", "near-miss", "other", "unions"]))
+    if how == "copy":
+        return x, _relabelled(x, rng)
+    if how == "permuted":
+        return x, _relabelled(x, rng, perm)
+    if how == "near-miss":
+        return x, _relabelled(_negate_one_marker(x, rng), rng)
+    if how == "other":
+        y = _built(draw(builders))
+        return None if y is None else (x, y)
+    rename = draw(st.sampled_from([{}, perm]))
+    return _disjoint_union(x, x), _relabelled(_disjoint_union(x, x, perm), rng, rename)
+
+
+def _swapped_unions(grid):
+    return _disjoint_union(grid, grid), _disjoint_union(grid, grid, {"a": "b", "b": "a"})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_iso_pairs())
+@example(_swapped_unions(torus_grid_scene(1, 0, 1, 2)))
+@example(_swapped_unions(torus_grid_scene(1, 0, 0, 2)))
+@example(_swapped_unions(_markerless(torus_grid_scene(1, 0, 0, 2))))
+def test_scenes_isomorphic_agrees_with_vf2(pair):
+    if pair is None:
+        return
+    x, y = pair
+    for match_curves in (True, False):
+        assert scenes_isomorphic(x, y, match_curves) == _vf2_isomorphic(x, y, match_curves), (
+            x.name,
+            y.name,
+            match_curves,
+        )
+
+
+def test_scenes_isomorphic_reaches_canonical_form_through_the_module(monkeypatch):
+    """The benchmark's tracer times ``canonical_form`` by wrapping the module
+    attribute, so ``scenes_isomorphic`` must look it up there, twice per pair
+    whose sizes agree."""
+    import curvesys.scene as scene_module
+
+    calls = []
+    real = scene_module.canonical_form
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scene_module, "canonical_form", counted)
+    rng = random.Random(5)
+    grid = torus_grid_scene(3, 1, -1, 2)
+    pairs = [
+        (grid, _relabelled(grid, rng)),
+        (grid, _relabelled(_negate_one_marker(grid, rng), rng)),
+        (grid, _relabelled(grid, rng, {"a": "b", "b": "a"})),
+    ]
+    answers = [scenes_isomorphic(x, y, mc) for mc in (True, False) for x, y in pairs]
+    assert answers == [True, False, False, True, False, True]
+    assert len(calls) == 2 * len(answers)
