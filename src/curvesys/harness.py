@@ -10,6 +10,11 @@ orders are deterministic, and the only randomness (twist-coordinate trials) is
 driven by an explicit seed, so reports are reproducible byte for byte apart
 from the per-suite ``millis`` timing fields.
 
+:func:`run_all` runs each suite in its own forked worker, min(suites, usable
+CPUs) of them, when it selects two or more suites and may use two or more
+CPUs.  CPU affinity is the only control (``taskset -c 0`` runs in-process),
+and ``millis`` is each suite's own wall time in the process that ran it.
+
 Suites:
 
 - ``product_laws``: commutation, cancellation, power, twist and triangle laws
@@ -28,6 +33,7 @@ Suites:
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -610,32 +616,67 @@ def run_all(
     conv_bound: Optional[int] = None,
     suites: Optional[Sequence[str]] = None,
 ) -> List[SuiteReport]:
-    """Run the selected suites (all by default).
+    """Run the selected suites (all by default) and return their reports in
+    plan order.
 
     ``bound`` is the class-coordinate window for the exhaustive suites;
     the cubic-cost convexity and twist-bound sweeps default to a window of
     min(bound, 3) unless ``conv_bound`` overrides it.
+
+    With two or more suites selected and two or more usable CPUs (the
+    process's affinity set, else ``os.cpu_count()``), each suite runs in its
+    own forked worker, min(suites, CPUs) of them.  Otherwise, and where there
+    is no ``fork``, the suites run in-process one after another.  CPU
+    affinity is the only control: pin the process to one CPU to run serially.
+    Reports are the same either way apart from ``millis``, each suite's own
+    wall time in the process that ran it.
     """
     if conv_bound is None:
         conv_bound = min(bound, 3)
-    plan: List[Tuple[str, Callable[[], SuiteReport]]] = [
-        ("product_laws", lambda: suite_product_laws(bound)),
-        ("convexity", lambda: suite_convexity(conv_bound, n_min, n_max)),
-        ("twist_dynamics", lambda: suite_twist_dynamics(bound, gamma_bound)),
-        ("twist_bounds", lambda: suite_twist_bounds(conv_bound, m_max)),
-        ("resolution_oracle", lambda: suite_resolution_oracle(bound)),
-        ("twist_coords", lambda: suite_twist_coords(trials, seed)),
+    plan: List[Tuple[str, Tuple[Any, ...]]] = [
+        ("product_laws", (bound,)),
+        ("convexity", (conv_bound, n_min, n_max)),
+        ("twist_dynamics", (bound, gamma_bound)),
+        ("twist_bounds", (conv_bound, m_max)),
+        ("resolution_oracle", (bound,)),
+        ("twist_coords", (trials, seed)),
     ]
     wanted = set(suites) if suites else None
     if wanted is not None:
         unknown = wanted - set(SUITES)
         if unknown:
             raise InvalidBound(f"unknown suites: {sorted(unknown)}")
-    out = []
-    for name, thunk in plan:
-        if wanted is None or name in wanted:
-            out.append(thunk())
-    return out
+    selected = [(name, args) for name, args in plan if wanted is None or name in wanted]
+    workers = min(len(selected), _usable_cpus())
+    if workers < 2 or not hasattr(os, "fork"):
+        return [_run_suite(name, args) for name, args in selected]
+    # Imported here, so that the in-process path and ``import curvesys`` never load them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # The ``with`` block joins every worker before run_all returns or raises.
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_run_suite, name, args) for name, args in selected]
+        try:
+            # In plan order, so the error raised is the one the in-process path raises.
+            return [f.result() for f in futures]
+        except BaseException:
+            for f in futures:
+                f.cancel()
+            raise
+
+
+def _run_suite(name: str, args: Tuple[Any, ...]) -> SuiteReport:
+    # Looked up at call time, so a patched or traced suite_* name is the one
+    # that runs, in-process or in a forked worker, which inherits it.
+    return globals()[f"suite_{name}"](*args)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def report_to_dict(reports: Sequence[SuiteReport]) -> Dict[str, Any]:

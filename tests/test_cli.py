@@ -1,9 +1,15 @@
 """Command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import curvesys
+from curvesys import harness
 from curvesys.cli import main
 from curvesys.corpus import bigon_scene, dt_decompositions
 from curvesys.dtcoords import DTCoords, save_dt
@@ -234,6 +240,43 @@ def test_witness_reproducible_via_cli(capsys, grid_file, tmp_path):
 
 def test_verify_bad_bound(capsys):
     assert main(["verify", "--bound", "0"]) == 2
+
+
+def test_verify_bad_parameter_in_a_worker_exits_2(capsys, monkeypatch):
+    # Two suites and two CPUs: twist_coords raises in its worker.
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    code = main(["verify", "--suite", "product_laws", "--suite", "twist_coords", "--trials", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: trials must be an integer >= 1, got 0\n"
+
+
+def _without_millis(path) -> str:
+    doc = json.loads(Path(path).read_text())
+    for suite in doc["suites"]:
+        suite.pop("millis")
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_verify_report_matches_a_run_pinned_to_one_cpu(capsys, tmp_path):
+    argv = ["verify", "--bound", "2", "--range=-3..3", "--gamma-bound", "3", "--m-max", "2"]
+    argv += ["--trials", "60"]
+    assert main(argv + ["--out", str(tmp_path / "workers.json")]) == 0
+    # The child pins only itself, to one CPU it may use, and so runs in-process.
+    pinned = (
+        "import os, sys\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from curvesys.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(curvesys.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", pinned, *argv, "--out", str(tmp_path / "serial.json")],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert _without_millis(tmp_path / "workers.json") == _without_millis(tmp_path / "serial.json")
 
 
 def test_verify_bad_out_path(capsys):

@@ -1,6 +1,9 @@
 """Verification harness: suite behavior, determinism, fault injection."""
 
 import json
+import multiprocessing
+import subprocess
+import sys
 
 import pytest
 
@@ -76,19 +79,38 @@ def test_flipped_convention_fails_at_the_pin():
     assert (0, 1, 1, 0) in witnesses or (1, 0, 0, 1) in witnesses
 
 
-def test_report_structure_and_determinism():
-    def strip_millis(doc):
-        for suite in doc["suites"]:
-            suite.pop("millis")
-        return doc
+def _without_millis(reports) -> str:
+    doc = report_to_dict(reports)
+    for suite in doc["suites"]:
+        suite.pop("millis")
+    return json.dumps(doc, sort_keys=True)
 
-    r1 = report_to_dict(run_all(bound=2, n_min=-2, n_max=2, gamma_bound=2, m_max=1, trials=30))
-    r2 = report_to_dict(run_all(bound=2, n_min=-2, n_max=2, gamma_bound=2, m_max=1, trials=30))
-    for suite in r1["suites"]:
+
+def test_report_structure_and_determinism():
+    r1 = run_all(bound=2, n_min=-2, n_max=2, gamma_bound=2, m_max=1, trials=30)
+    r2 = run_all(bound=2, n_min=-2, n_max=2, gamma_bound=2, m_max=1, trials=30)
+    for suite in report_to_dict(r1)["suites"]:
         assert set(suite) == {"suite", "params", "cases", "failures", "millis"}
-    assert json.dumps(strip_millis(r1), sort_keys=True) == json.dumps(
-        strip_millis(r2), sort_keys=True
+    assert _without_millis(r1) == _without_millis(r2)
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 6])
+def test_reports_are_the_same_for_every_worker_count(monkeypatch, cpus):
+    def run(usable):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: usable)
+        return run_all(bound=2, n_min=-2, n_max=2, gamma_bound=2, m_max=1, trials=30)
+
+    assert _without_millis(run(cpus)) == _without_millis(run(1))
+    assert multiprocessing.active_children() == []
+
+
+def test_importing_the_package_loads_no_process_pool():
+    probe = (
+        "import sys, curvesys, curvesys.cli\n"
+        "print([m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent.futures'))])"
     )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_single_point_convexity_range():
@@ -123,7 +145,17 @@ def test_passing_runs_format_no_witness(monkeypatch):
         return real_str(self)
 
     monkeypatch.setattr(TorusClass, "__str__", counting_str)
-    reports = run_all(bound=2, n_min=-3, n_max=3, gamma_bound=3, m_max=2, trials=60)
+    # In-process with the parameters run_all(bound=2, n_min=-3, n_max=3,
+    # gamma_bound=3, m_max=2, trials=60) passes them: a counter patched here
+    # would not see the calls run_all makes in worker processes.
+    reports = [
+        suite_product_laws(2),
+        suite_convexity(2, -3, 3),
+        suite_twist_dynamics(2, 3),
+        suite_twist_bounds(2, 2),
+        suite_resolution_oracle(2),
+        suite_twist_coords(60, 7),
+    ]
     assert [r.suite for r in reports] == list(SUITES)
     assert all(r.ok for r in reports)
     assert len(formatted) == 0
@@ -244,18 +276,26 @@ _PINNED_FAILURES = {
 }
 
 
-def test_algebra_suite_failures_are_unchanged(monkeypatch):
+def _inject_faults(monkeypatch):
     # power-distribution and the two associativity witnesses call neither
     # intersection nor dehn_twist, so multiply is faulted too.
     monkeypatch.setattr(harness, "intersection", _bad_intersection)
     monkeypatch.setattr(harness, "dehn_twist", _bad_dehn_twist)
     monkeypatch.setattr(harness, "multiply", _bad_multiply)
-    reports = [
+
+
+def _faulted_suites_in_process():
+    return [
         suite_product_laws(3),
         suite_convexity(3),
         suite_twist_dynamics(3, 4),
         suite_twist_bounds(3, 3),
     ]
+
+
+def test_algebra_suite_failures_are_unchanged(monkeypatch):
+    _inject_faults(monkeypatch)
+    reports = _faulted_suites_in_process()
     got = {}
     for r in reports:
         clauses = {}
@@ -264,3 +304,29 @@ def test_algebra_suite_failures_are_unchanged(monkeypatch):
             entry[0] += 1
         got[r.suite] = (r.cases, {clause: tuple(v) for clause, v in clauses.items()})
     assert got == _PINNED_FAILURES
+
+
+def test_faulted_suites_report_the_same_through_run_all(monkeypatch):
+    """Forked workers inherit the patched names; every failure, in order,
+    comes back as the in-process call records it."""
+    _inject_faults(monkeypatch)
+    in_process = _faulted_suites_in_process()
+    assert sum(len(r.failures) for r in in_process) > 0
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)  # workers on any host
+    reports = run_all(
+        bound=3,
+        conv_bound=3,
+        gamma_bound=4,
+        m_max=3,
+        suites=["product_laws", "convexity", "twist_dynamics", "twist_bounds"],
+    )
+
+    def shape(rs):
+        return [(r.suite, r.cases, len(r.failures)) for r in rs]
+
+    assert shape(reports) == shape(in_process)
+    # Tens of thousands of witnesses: compared as one bool, so that a failure
+    # does not make pytest diff two megabyte strings.
+    same = _without_millis(reports) == _without_millis(in_process)
+    assert same, "same counts, but the witnesses differ in content or order"
+    assert multiprocessing.active_children() == []
