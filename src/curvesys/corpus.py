@@ -20,11 +20,13 @@ files.
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
 from .dtcoords import DTCoords, PantsDecomposition, save_dt
+from .errors import CurveSysError
 from .grids import torus_grid_scene
 from .scene import Curve, Edge, Scene, Vertex
 from .sceneio import save_scene
@@ -50,34 +52,7 @@ def genus2_filling_pair() -> Scene:
     with the opposite orientation.  The complement is two octagons, which is
     minimal for a filling pair in genus 2.
     """
-    a_out = lambda v: 4 * v
-    a_in = lambda v: 4 * v + 1
-    b_out = lambda v: 4 * v + 2
-    b_in = lambda v: 4 * v + 3
-
-    b_order = (0, 1, 3, 2)
-    flipped = (False, False, True, True)
-
-    edges: List[Edge] = []
-    for i in range(4):
-        edges.append(Edge(i, (a_out(i), a_in((i + 1) % 4)), "a"))
-    for j in range(4):
-        edges.append(
-            Edge(4 + j, (b_out(b_order[j]), b_in(b_order[(j + 1) % 4])), "b")
-        )
-    vertices = []
-    for v in range(4):
-        if flipped[v]:
-            cycle = (a_out(v), b_out(v), a_in(v), b_in(v))
-        else:
-            cycle = (a_out(v), b_in(v), a_in(v), b_out(v))
-        vertices.append(Vertex(v, cycle))
-    return Scene(
-        name="genus2-filling-pair",
-        vertices=vertices,
-        edges=edges,
-        curves=[Curve("a", 1), Curve("b", 1)],
-    )
+    return _two_loops("genus2-filling-pair", (0, 1, 3, 2), (False, False, True, True))
 
 
 def bigon_scene() -> Scene:
@@ -91,28 +66,26 @@ def bigon_scene() -> Scene:
     Used as the expected-detect control for find_bigons and for resolve's
     refusal of non-minimal input.
     """
-    a_out = lambda v: 4 * v
-    a_in = lambda v: 4 * v + 1
-    b_out = lambda v: 4 * v + 2
-    b_in = lambda v: 4 * v + 3
-    edges: List[Edge] = []
-    for i in range(3):
-        edges.append(Edge(i, (a_out(i), a_in((i + 1) % 3)), "a"))
-    for j in range(3):
-        edges.append(Edge(3 + j, (b_out(j), b_in((j + 1) % 3)), "b"))
+    return _two_loops("bigon-control", (0, 1, 2), (False, False, True))
+
+
+def _two_loops(name: str, b_order: Tuple[int, ...], flipped: Tuple[bool, ...]) -> Scene:
+    """Loops "a" and "b" through the same n crossings: "a" visits them in the
+    order 0..n-1 and "b" in ``b_order``, passing crossing v the other way
+    where ``flipped[v]``.  Crossing v has half-edges 4v (a out), 4v + 1
+    (a in), 4v + 2 (b out) and 4v + 3 (b in)."""
+    n = len(b_order)
+    edges = [Edge(i, (4 * i, 4 * ((i + 1) % n) + 1), "a") for i in range(n)]
+    for j in range(n):
+        edges.append(Edge(n + j, (4 * b_order[j] + 2, 4 * b_order[(j + 1) % n] + 3), "b"))
     vertices = []
-    for v in range(3):
-        if v == 2:  # the strand of b passes this crossing the other way
-            cycle = (a_out(v), b_out(v), a_in(v), b_in(v))
+    for v in range(n):
+        if flipped[v]:
+            cycle = (4 * v, 4 * v + 2, 4 * v + 1, 4 * v + 3)
         else:
-            cycle = (a_out(v), b_in(v), a_in(v), b_out(v))
+            cycle = (4 * v, 4 * v + 3, 4 * v + 1, 4 * v + 2)
         vertices.append(Vertex(v, cycle))
-    return Scene(
-        name="bigon-control",
-        vertices=vertices,
-        edges=edges,
-        curves=[Curve("a", 1), Curve("b", 1)],
-    )
+    return Scene(name=name, vertices=vertices, edges=edges, curves=[Curve("a", 1), Curve("b", 1)])
 
 
 def trivial_component_scene() -> Scene:
@@ -172,11 +145,12 @@ def grid_corpus_parameters(bound: int = GRID_BOUND) -> List[Tuple[int, int, int,
 def write_corpus(root: Union[str, Path], bound: int = GRID_BOUND) -> int:
     """Write the full corpus under ``root``; returns the number of files."""
     root = Path(root)
+    grids = grid_corpus_parameters(bound)  # checks the bound before any directory is made
     (root / "grids").mkdir(parents=True, exist_ok=True)
     (root / "curated").mkdir(exist_ok=True)
     (root / "dt").mkdir(exist_ok=True)
     n = 0
-    for p, q, r, s in grid_corpus_parameters(bound):
+    for p, q, r, s in grids:
         save_scene(
             torus_grid_scene(p, q, r, s), root / "grids" / f"grid_{p}_{q}_{r}_{s}.json"
         )
@@ -201,7 +175,14 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument("outdir", help="directory to write the corpus into")
     parser.add_argument("--bound", type=int, default=GRID_BOUND)
     args = parser.parse_args(argv)
-    n = write_corpus(args.outdir, args.bound)
+    try:
+        n = write_corpus(args.outdir, args.bound)
+    except CurveSysError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {n} files under {args.outdir}")
     return 0
 

@@ -53,10 +53,6 @@ class BigonPresent(SceneError):
     """Refusing to resolve a pair of curves that still bounds a bigon."""
 
 
-class ComponentHasCrossings(SceneError):
-    """Triviality was queried for a component that still crosses something."""
-
-
 class SelfCrossingCurve(SceneError):
     """parallel_copies needs a single embedded loop as its template."""
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -456,7 +456,7 @@ def suite_resolution_oracle(bound: int = 4, convention: str = "after") -> SuiteR
                 fail("grid-cellular-torus", (diag.chi, diag.genus), (0, 1))
             if not all(d == 4 for d in diag.face_degrees):
                 fail("grid-all-quads", diag.face_degrees, "all 4")
-            if not corner_alternation_ok(scene, "a", "b", convention=convention):
+            if not corner_alternation_ok(scene, "a", "b"):
                 fail("corner-alternation", "mixed corners", "alternating")
         crossings, expected = crossing_count(scene, "a", "b"), intersection(a, b)
         rep.cases += 2
@@ -655,15 +655,10 @@ def run_all(
     from concurrent.futures import ProcessPoolExecutor
 
     # The ``with`` block joins every worker before run_all returns or raises.
+    # ``map`` yields in plan order, so the error raised is the one the in-process
+    # path raises, and it cancels the suites not yet started when one raises.
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_run_suite, name, args) for name, args in selected]
-        try:
-            # In plan order, so the error raised is the one the in-process path raises.
-            return [f.result() for f in futures]
-        except BaseException:
-            for f in futures:
-                f.cancel()
-            raise
+        return list(pool.map(_run_suite, *zip(*selected)))
 
 
 def _run_suite(name: str, args: Tuple[Any, ...]) -> SuiteReport:
@@ -681,23 +676,6 @@ def _usable_cpus() -> int:
 
 def report_to_dict(reports: Sequence[SuiteReport]) -> Dict[str, Any]:
     return {
-        "suites": [
-            {
-                "suite": r.suite,
-                "params": r.params,
-                "cases": r.cases,
-                "failures": [
-                    {
-                        "inputs": f.inputs,
-                        "lhs": f.lhs,
-                        "rhs": f.rhs,
-                        "clause": f.clause,
-                    }
-                    for f in r.failures
-                ],
-                "millis": r.millis,
-            }
-            for r in reports
-        ],
+        "suites": [asdict(r) for r in reports],
         "total_failures": sum(len(r.failures) for r in reports),
     }

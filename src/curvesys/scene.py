@@ -40,12 +40,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, count, permutations, product
+from itertools import chain, count
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
     BigonPresent,
-    ComponentHasCrossings,
     DanglingHalfEdge,
     InvalidCount,
     InvalidScene,
@@ -632,33 +631,20 @@ def crossing_count(scene: Scene, curve_a: str, curve_b: str) -> int:
     return darts // 2
 
 
-def trivial_components(
-    scene: Scene, curves: Optional[Sequence[str]] = None
-) -> List[Component]:
+def trivial_components(scene: Scene) -> List[Component]:
     """Crossing-free components that bound a disk.
 
     On marker-carrying (torus) scenes a component is trivial exactly when its
     signed marker sum vanishes.  Without markers the detector falls back to the
     face criterion: some face's boundary consists of the component's edges,
-    each traversed once; that is exact for an innermost circle.  When
-    ``curves`` is None all crossing-free components are examined; naming a
-    curve whose components still cross something raises ComponentHasCrossings.
+    each traversed once; that is exact for an innermost circle.
     """
-    ix = _require(scene, *(curves or ()))
+    ix = scene._index
     census, walks = _strands(ix)
     out: List[Component] = []
     for comp, walk in zip(census.components, walks):
-        free = all(ix.deg[p ^ 1] == 2 for p in walk)
-        if curves is None:
-            if not free:
-                continue
-        else:
-            if comp.curve not in curves:
-                continue
-            if not free:
-                raise ComponentHasCrossings(
-                    f"component of curve {comp.curve!r} passes through a crossing"
-                )
+        if any(ix.deg[p ^ 1] != 2 for p in walk):
+            continue
         if comp.marker_sum is not None:
             if comp.marker_sum == (0, 0):
                 out.append(comp)
@@ -758,18 +744,16 @@ def _fresh_curve_id(ix: _Index, base: str) -> str:
     return f"{base}{n}"
 
 
-def corner_alternation_ok(
-    scene: Scene, from_curve: str, to_curve: str, *, convention: str = "after"
-) -> bool:
+def corner_alternation_ok(scene: Scene, from_curve: str, to_curve: str) -> bool:
     """Check that around every face, corners at (from,to)-crossings would be
     opened and closed alternately by the resolution.
 
     A corner of a face is the vertex quadrant between two consecutive sides;
     smoothing a crossing closes the two quadrants cut off by the new strands
-    and opens the other two.
+    and opens the other two.  The answer is the same for either order of the
+    curves and either smoothing convention: each of these negates every
+    corner's state, which keeps alternation.
     """
-    if convention not in _CONVENTIONS:
-        raise ValueError(f"convention must be one of {_CONVENTIONS}, got {convention!r}")
     ix = _require(scene, from_curve, to_curve)
     nxt, deg, curve = ix.nxt, ix.deg, ix.curve
     pair = (from_curve, to_curve)
@@ -781,8 +765,7 @@ def corner_alternation_ok(
                 continue
             # Quadrant between p and ccw-next(p); it is closed iff that pair
             # is joined into a strand by the smoothing.
-            q = p if convention == "after" else nxt[p]
-            states.append(curve[q >> 1] == to_curve)
+            states.append(curve[p >> 1] == to_curve)
         if len(states) >= 2:
             for i in range(len(states)):
                 if states[i - 1] == states[i]:
@@ -892,19 +875,14 @@ def parallel_copies(scene: Scene, curve_id: str, n: int) -> Scene:
 # ======================================================================
 
 
-def canonical_form(scene: Scene, match_curves: bool = True):
+def canonical_form(scene: Scene):
     """A hashable canonical encoding, equal exactly for isomorphic scenes.
 
     Each graph component is encoded by a breadth-first relabelling of its
     darts, read in place on the index, from a root; the lexicographically
     smallest encoding over the candidate roots wins, and the component
-    encodings are sorted.  Curve labels are kept literally when
-    ``match_curves`` is true.  Otherwise a curve id is global, so it is
-    renamed once for the whole scene: the curves on edges are numbered
-    0..C-1 in order of (edge count, strand count), which is invariant, and
-    the smallest encoding over every numbering of tied curves wins; that
-    tries k! numberings for k tied curves.  Markers participate, oriented by
-    the traversal.
+    encodings are sorted.  Curve labels are kept literally, and markers
+    participate, oriented by the traversal.
 
     Three devices keep the search close to linear in practice, and none lets
     ids leak into the result:
@@ -931,30 +909,13 @@ def canonical_form(scene: Scene, match_curves: bool = True):
     mark: List[Tuple[int, ...]] = []  # per dart: its marker oriented along it, () for none
     for m in ix.marker:
         mark += ((), ()) if m is None else (m, (-m[0], -m[1]))
-    orbits = _orbits(ix)
+    label = chain.from_iterable(zip(ix.curve, ix.curve))
+    key = list(zip(ix.deg, face_len, mark, label))
     order = [-1] * n  # per dart: its breadth-first position, -1 outside an encoding
-    forms = []
-    for label in [ix.curve] if match_curves else _curve_numberings(ix):
-        key = list(zip(ix.deg, face_len, mark, chain.from_iterable(zip(label, label))))
-        orbit_of = list(range(n))  # union-find over automorphism orbits of darts
-        tried = bytearray(n)  # per union-find root: the orbit holds a tried root
-        comps = (_component_form(ix.nxt, key, orbit, order, orbit_of, tried) for orbit in orbits)
-        forms.append(tuple(sorted(comps)))
-    return min(forms)
-
-
-def _curve_numberings(ix: _Index):
-    """Per-edge curve numbers, one list for each bijection of the curves on
-    edges onto 0..C-1 that lists them by (edge count, strand count), with
-    every order of the curves that tie."""
-    strands = Counter(comp.curve for comp in _strands(ix)[0].components)
-    tied: Dict[Tuple[int, int], List[str]] = {}
-    for cid, n in Counter(ix.curve).items():
-        tied.setdefault((n, strands[cid]), []).append(cid)
-    groups = [permutations(tied[key]) for key in sorted(tied)]
-    for choice in product(*groups):
-        number = {cid: k for k, cid in enumerate(c for group in choice for c in group)}
-        yield [number[c] for c in ix.curve]
+    orbit_of = list(range(n))  # union-find over automorphism orbits of darts
+    tried = bytearray(n)  # per union-find root: the orbit holds a tried root
+    comps = (_component_form(ix.nxt, key, orbit, order, orbit_of, tried) for orbit in _orbits(ix))
+    return tuple(sorted(comps))
 
 
 def _component_form(
@@ -1036,9 +997,9 @@ def _encode_rows(
     return None if abandoned else (rows, queue, tie)
 
 
-def scenes_isomorphic(a: Scene, b: Scene, match_curves: bool = True) -> bool:
+def scenes_isomorphic(a: Scene, b: Scene) -> bool:
     """Isomorphism of labelled rotation systems (markers included)."""
     ia, ib = a._index, b._index
     if len(ia.vid) != len(ib.vid) or len(ia.eid) != len(ib.eid):
         return False
-    return canonical_form(a, match_curves) == canonical_form(b, match_curves)
+    return canonical_form(a) == canonical_form(b)

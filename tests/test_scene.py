@@ -1,7 +1,6 @@
 """Scene engine: grids, faces, resolution, census, copies, isomorphism."""
 
 import hashlib
-import itertools
 import json
 import random
 import re
@@ -17,7 +16,6 @@ from curvesys.corpus import bigon_scene, genus2_filling_pair, trivial_component_
 from curvesys.errors import (
     BigonPresent,
     CurveSysError,
-    ComponentHasCrossings,
     DanglingHalfEdge,
     InvalidCount,
     NonAlternatingCrossing,
@@ -378,7 +376,6 @@ def test_corner_alternation_on_grids():
     for pqrs in [(1, 0, 0, 1), (2, 1, 1, 1), (3, -2, 1, 4)]:
         scene = torus_grid_scene(*pqrs)
         assert corner_alternation_ok(scene, "a", "b")
-        assert corner_alternation_ok(scene, "a", "b", convention="before")
 
 
 # ----------------------------------------------------------------------
@@ -396,13 +393,6 @@ def test_trivial_components_controls():
     assert trivial_components(resolve(torus_grid_scene(2, 0, 0, 3), "a", "b")) == []
     found = trivial_components(trivial_component_scene())
     assert [c.curve for c in found] == ["c"]
-
-
-def test_trivial_components_explicit_query():
-    scene = trivial_component_scene()
-    assert [c.curve for c in trivial_components(scene, curves=["c"])] == ["c"]
-    with pytest.raises(ComponentHasCrossings):
-        trivial_components(scene, curves=["a"])
 
 
 def test_trivial_components_face_criterion_without_markers():
@@ -533,7 +523,6 @@ def test_isomorphism_sees_markers_and_labels():
         [Curve("x", 1), Curve("y", 1)],
     )
     assert not scenes_isomorphic(scene, relabelled)
-    assert scenes_isomorphic(scene, relabelled, match_curves=False)
 
 
 def test_canonical_form_is_deterministic():
@@ -543,11 +532,9 @@ def test_canonical_form_is_deterministic():
 
 # Reference: the all-roots canonical form, kept as the oracle for the pruned
 # search.  It encodes each component from every half-edge and keeps the
-# smallest encoding, so it is canonical by construction; without matched
-# curves it keeps the smallest form over all C! bijections of the C curve ids
-# onto 0..C-1, since a curve id names the same curve in every component.  It
-# reads sigma and alpha from the scene's own vertex and edge lists, not from
-# the index that the library builds and checks.
+# smallest encoding, so it is canonical by construction.  It reads sigma and
+# alpha from the scene's own vertex and edge lists, not from the index that
+# the library builds and checks.
 
 
 def _rotation(scene):
@@ -561,18 +548,8 @@ def _rotation(scene):
     return nxt, par, edge
 
 
-def reference_canonical_form(scene, match_curves=True):
+def reference_canonical_form(scene):
     rotation = _rotation(scene)
-    ids = sorted({e.curve for e in scene.edges})
-    if match_curves:
-        return _reference_form(rotation, {c: c for c in ids})
-    return min(
-        _reference_form(rotation, dict(zip(ids, numbers)))
-        for numbers in itertools.permutations(range(len(ids)))
-    )
-
-
-def _reference_form(rotation, token):
     nxt, par, _ = rotation
     seen = set()
     comps = []
@@ -587,11 +564,11 @@ def _reference_form(rotation, token):
                 orbit.add(h)
                 stack += [par[h], nxt[h]]
         seen |= orbit
-        comps.append(min(_reference_encoding(rotation, r, token) for r in orbit))
+        comps.append(min(_reference_encoding(rotation, r) for r in orbit))
     return tuple(sorted(comps))
 
 
-def _reference_encoding(rotation, root, token):
+def _reference_encoding(rotation, root):
     nxt, par, edge = rotation
     order = {root: 0}
     queue = [root]
@@ -608,7 +585,7 @@ def _reference_encoding(rotation, root, token):
         else:
             p, q = e.marker if h == e.half[0] else (-e.marker[0], -e.marker[1])
             mk = (1, p, q)
-        rows.append((order[nxt[h]], order[par[h]], token[e.curve], mk))
+        rows.append((order[nxt[h]], order[par[h]], e.curve, mk))
     return tuple(rows)
 
 
@@ -665,19 +642,14 @@ def _random_grid(rng, lo, hi):
 def _assert_forms_agree(pairs):
     cache = {}
 
-    def forms(scene, match_curves):
-        key = (id(scene), match_curves)
-        if key not in cache:
-            cache[key] = (
-                canonical_form(scene, match_curves),
-                reference_canonical_form(scene, match_curves),
-            )
-        return cache[key]
+    def forms(scene):
+        if id(scene) not in cache:
+            cache[id(scene)] = canonical_form(scene), reference_canonical_form(scene)
+        return cache[id(scene)]
 
     for x, y in pairs:
-        for match_curves in (True, False):
-            (new_x, ref_x), (new_y, ref_y) = forms(x, match_curves), forms(y, match_curves)
-            assert (new_x == new_y) == (ref_x == ref_y), (x.name, y.name, match_curves)
+        (new_x, ref_x), (new_y, ref_y) = forms(x), forms(y)
+        assert (new_x == new_y) == (ref_x == ref_y), (x.name, y.name)
 
 
 def _pairs_around(scene, rng):
@@ -688,8 +660,7 @@ def _pairs_around(scene, rng):
     bare = _markerless(scene)
     bare_copy = _relabelled(bare, rng)
     for x, y in ((scene, copy), (bare, bare_copy)):
-        for match_curves in (True, False):
-            assert canonical_form(x, match_curves) == canonical_form(y, match_curves)
+        assert canonical_form(x) == canonical_form(y)
     pairs = [
         (scene, copy),
         (scene, _relabelled(_negate_one_marker(scene, rng), rng)),
@@ -758,19 +729,15 @@ def _disjoint_union(x, y, rename=None):
     ],
     ids=["grid(1,0,1,2)", "grid(1,0,0,2)", "grid(1,0,0,2)-markerless"],
 )
-def test_unmatched_curves_are_renamed_once_per_scene(grid):
-    """G + G and G + swap(G) match component by component, each under its own
-    renaming of a and b, but no one renaming maps one onto the other."""
+def test_disjoint_unions_keep_curve_labels(grid):
+    """A curve id names one curve across the whole scene: G + G is isomorphic
+    neither to G + swap(G), whose second half matches G only after renaming a
+    and b, nor to a relabelled copy of itself with a and b swapped."""
     swap = {"a": "b", "b": "a"}
     same, swapped = _disjoint_union(grid, grid), _disjoint_union(grid, grid, swap)
-    for match_curves in (True, False):
-        assert not scenes_isomorphic(same, swapped, match_curves=match_curves)
-        assert reference_canonical_form(same, match_curves) != reference_canonical_form(
-            swapped, match_curves
-        )
-    both_swapped = _relabelled(same, random.Random(0), swap)
-    assert scenes_isomorphic(same, both_swapped, match_curves=False)
-    assert not scenes_isomorphic(same, both_swapped)
+    assert not scenes_isomorphic(same, swapped)
+    assert reference_canonical_form(same) != reference_canonical_form(swapped)
+    assert not scenes_isomorphic(same, _relabelled(same, random.Random(0), swap))
 
 
 # ----------------------------------------------------------------------
@@ -930,14 +897,11 @@ def _every_operation(scene):
     yield lambda: check_region_condition(scene, "a", "b", "c")
     yield lambda: components(scene)
     yield lambda: trivial_components(scene)
-    yield lambda: trivial_components(scene, curves=["a"])
     yield lambda: crossing_count(scene, "a", "b")
     yield lambda: corner_alternation_ok(scene, "a", "b")
-    yield lambda: corner_alternation_ok(scene, "a", "b", convention="before")
     yield lambda: components(resolve(scene, "a", "b"))
     yield lambda: trivial_components(resolve(scene, "b", "a", convention="before"))
     yield lambda: validate(parallel_copies(scene, "a", 2), require_cellular=False)
-    yield lambda: canonical_form(scene, match_curves=False)
     yield lambda: scenes_isomorphic(scene, scene)
     yield lambda: scene.max_ids()
 
@@ -1362,6 +1326,24 @@ def test_resolve_derives_the_checked_index_on_random_scenes(build, convention):
         _assert_derived_index_is_checked_index(again)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_random_rotation_systems(), _three_line_families()))
+@example(partial(torus_lines_scene, [("a", (2, 1)), ("b", (0, 1)), ("c", (1, 1))]))
+def test_corner_alternation_is_the_same_for_either_order(build):
+    """Swapping the two curves negates every corner's state, as the mirrored
+    smoothing convention does, and alternation survives negation.  The
+    example has pairs that alternate and one that does not."""
+    scene = _built(build)
+    if scene is None:
+        return
+    for x, y in (("a", "b"), ("b", "c"), ("c", "a")):
+        try:
+            forward = corner_alternation_ok(scene, x, y)
+        except CurveSysError:  # a curve the scene does not have
+            continue
+        assert corner_alternation_ok(scene, y, x) == forward
+
+
 def test_resolve_outputs_are_not_indexed_again(monkeypatch):
     import curvesys.grids as grids_module
     import curvesys.scene as scene_module
@@ -1426,14 +1408,13 @@ def test_every_scene_that_is_built_loads_back_from_its_file(build):
 # ----------------------------------------------------------------------
 
 
-def _vf2_graph(scene, match_curves):
+def _vf2_graph(scene):
     """The scene as a digraph read from its records: a node per half-edge,
     labelled with its oriented marker; an arc to its ccw-next and one to its
-    partner, told apart by their kinds; and a node per curve on edges, with
-    an arc from every half-edge on it, labelled with the curve's id only when
-    curves are matched.  A label-preserving isomorphism of two such graphs is
-    an isomorphism of the labelled rotation systems, and it maps the curves
-    bijectively, so no order of the curves is tried."""
+    partner, told apart by their kinds; and a node per curve on edges,
+    labelled with the curve's id, with an arc from every half-edge on it.  A
+    label-preserving isomorphism of two such graphs is an isomorphism of the
+    labelled rotation systems."""
     import networkx as nx
 
     nxt, par, edge = _rotation(scene)
@@ -1445,7 +1426,7 @@ def _vf2_graph(scene, match_curves):
             m = (-m[0], -m[1])
         curve = ("curve", e.curve)
         graph.add_node(h, label=("half-edge", m))
-        graph.add_node(curve, label=("curve", e.curve if match_curves else None))
+        graph.add_node(curve, label=("curve", e.curve))
         kinds[h, nxt[h]].add("sigma")
         kinds[h, par[h]].add("alpha")
         kinds[h, curve].add("on")
@@ -1454,7 +1435,7 @@ def _vf2_graph(scene, match_curves):
     return graph
 
 
-def _vf2_isomorphic(x, y, match_curves):
+def _vf2_isomorphic(x, y):
     from networkx.algorithms.isomorphism import (
         DiGraphMatcher,
         categorical_edge_match,
@@ -1462,8 +1443,8 @@ def _vf2_isomorphic(x, y, match_curves):
     )
 
     return DiGraphMatcher(
-        _vf2_graph(x, match_curves),
-        _vf2_graph(y, match_curves),
+        _vf2_graph(x),
+        _vf2_graph(y),
         node_match=categorical_node_match("label", None),
         edge_match=categorical_edge_match("kind", None),
     ).is_isomorphic()
@@ -1527,12 +1508,7 @@ def test_scenes_isomorphic_agrees_with_vf2(pair):
     if pair is None:
         return
     x, y = pair
-    for match_curves in (True, False):
-        assert scenes_isomorphic(x, y, match_curves) == _vf2_isomorphic(x, y, match_curves), (
-            x.name,
-            y.name,
-            match_curves,
-        )
+    assert scenes_isomorphic(x, y) == _vf2_isomorphic(x, y), (x.name, y.name)
 
 
 def test_scenes_isomorphic_reaches_canonical_form_through_the_module(monkeypatch):
@@ -1556,6 +1532,5 @@ def test_scenes_isomorphic_reaches_canonical_form_through_the_module(monkeypatch
         (grid, _relabelled(_negate_one_marker(grid, rng), rng)),
         (grid, _relabelled(grid, rng, {"a": "b", "b": "a"})),
     ]
-    answers = [scenes_isomorphic(x, y, mc) for mc in (True, False) for x, y in pairs]
-    assert answers == [True, False, False, True, False, True]
-    assert len(calls) == 2 * len(answers)
+    assert [scenes_isomorphic(x, y) for x, y in pairs] == [True, False, False]
+    assert len(calls) == 2 * len(pairs)

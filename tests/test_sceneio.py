@@ -9,6 +9,7 @@ from curvesys.cli import main
 from curvesys.corpus import (
     bigon_scene,
     genus2_filling_pair,
+    main as corpus_main,
     trivial_component_scene,
     write_corpus,
 )
@@ -179,6 +180,21 @@ def test_shipped_corpus_matches_fresh_builds(tmp_path):
     assert n == len(shipped) == 758
     for rel in shipped:
         assert (tmp_path / rel).read_bytes() == (shipped_root / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize(
+    "args,err", [(["out", "--bound", "0"], "error: bound"), (["file/out"], "i/o error:")],
+    ids=["bound-0", "out-under-a-file"],
+)
+def test_corpus_main_exits_2_on_bad_input(tmp_path, capsys, args, err):
+    """``python -m curvesys.corpus`` with a bound below 1, or an output
+    directory that cannot be made, prints one error line and exits 2, as the
+    ``curvesys`` commands do, and writes nothing."""
+    (tmp_path / "file").write_text("")
+    assert corpus_main([str(tmp_path / args[0]), *args[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(err) and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 def test_load_save_and_resolve_build_no_records(tmp_path, monkeypatch):
