@@ -14,13 +14,14 @@ Subcommands mirror the library layers::
                     [--seed N] [--out PATH]
 
 Exit status: 0 on success, 1 when verification found failures, 2 on usage or
-data errors.
+data errors and when a verify worker process dies.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from typing import Optional, Sequence, Tuple
@@ -42,7 +43,7 @@ from .scene import (
     trace_faces,
     validate,
 )
-from .sceneio import load_scene, scene_to_dict
+from .sceneio import load_scene, save_scene, scene_to_dict
 from .torus import convexity_profile, dehn_twist, intersection, multiply, normalize
 
 __all__ = ["main"]
@@ -175,12 +176,10 @@ def _cmd_scene(args: argparse.Namespace) -> int:
             print("  sides:", " ".join(f"{h}:{c}" for h, c in face.sides))
         return 0
     resolved = resolve(scene, args.from_curve, args.to_curve)
-    text = json.dumps(scene_to_dict(resolved))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        save_scene(resolved, args.out)
     else:
-        print(text)
+        print(json.dumps(scene_to_dict(resolved)))
     return 0
 
 
@@ -213,28 +212,40 @@ def _cmd_dt(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     lo, hi = args.n_range
-    # The report file is opened before any suite runs, so a bad path fails at once.
-    with open(args.out, "w") if args.out else nullcontext() as fh:
-        reports = harness.run_all(
-            bound=args.bound,
-            n_min=lo,
-            n_max=hi,
-            gamma_bound=args.gamma_bound,
-            m_max=args.m_max,
-            trials=args.trials,
-            seed=args.seed,
-            conv_bound=args.conv_bound,
-            suites=args.suite,
-        )
-        for r in reports:
-            status = "ok" if r.ok else f"{len(r.failures)} FAILURE(S)"
-            print(f"{r.suite:20s} {r.cases:8d} cases  {r.millis:6d} ms  {status}")
-            for f in r.failures[:5]:
-                print(f"    {f.clause}: {f.inputs} -> {f.lhs} vs {f.rhs}")
-        total = sum(len(r.failures) for r in reports)
-        if fh is not None:
-            json.dump(harness.report_to_dict(reports), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    # The report goes to a new file beside --out, made before any suite runs so a
+    # bad path fails at once.  It replaces --out only once complete, so a failed
+    # run leaves --out as it was.
+    if args.out and os.path.isdir(args.out):
+        raise IsADirectoryError(f"--out {args.out!r} is a directory")
+    tmp = f"{args.out}.{os.getpid()}.tmp" if args.out else None
+    report_file = open(tmp, "x") if tmp else nullcontext()
+    try:
+        with report_file as fh:
+            reports = harness.run_all(
+                bound=args.bound,
+                n_min=lo,
+                n_max=hi,
+                gamma_bound=args.gamma_bound,
+                m_max=args.m_max,
+                trials=args.trials,
+                seed=args.seed,
+                conv_bound=args.conv_bound,
+                suites=args.suite,
+            )
+            for r in reports:
+                status = "ok" if r.ok else f"{len(r.failures)} FAILURE(S)"
+                print(f"{r.suite:20s} {r.cases:8d} cases  {r.millis:6d} ms  {status}")
+                for f in r.failures[:5]:
+                    print(f"    {f.clause}: {f.inputs} -> {f.lhs} vs {f.rhs}")
+            total = sum(len(r.failures) for r in reports)
+            if fh is not None:
+                json.dump(harness.report_to_dict(reports), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        if tmp:
+            os.replace(tmp, args.out)
+    finally:
+        if tmp and os.path.exists(tmp):
+            os.remove(tmp)
     print(f"total: {total} failure(s)")
     return 0 if total == 0 else 1
 

@@ -38,7 +38,7 @@ class NonAlternatingCrossing(SceneError):
 
 
 class NonCellular(SceneError):
-    """The configuration does not embed cellularly in the declared surface."""
+    """The scene does not encode the surface a question needs (not cellular, or no markers)."""
 
 
 class NonOrientableOrCorrupt(SceneError):
@@ -107,3 +107,7 @@ class MissedCurveTwistMismatch(DTError):
 
 class InvalidBound(CurveSysError, ValueError):
     """Verification suites need positive enumeration bounds."""
+
+
+class WorkerDied(CurveSysError):
+    """A verification worker process ended before returning its suite's report."""

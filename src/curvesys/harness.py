@@ -48,7 +48,7 @@ from .dtcoords import (
     twist_multiply,
     validate_coords,
 )
-from .errors import InvalidBound
+from .errors import InvalidBound, WorkerDied
 from .grids import torus_grid_scene
 from .scene import (
     components,
@@ -629,7 +629,8 @@ def run_all(
     is no ``fork``, the suites run in-process one after another.  CPU
     affinity is the only control: pin the process to one CPU to run serially.
     Reports are the same either way apart from ``millis``, each suite's own
-    wall time in the process that ran it.
+    wall time in the process that ran it.  A worker that dies raises
+    ``WorkerDied``.
     """
     if conv_bound is None:
         conv_bound = min(bound, 3)
@@ -653,12 +654,16 @@ def run_all(
     # Imported here, so that the in-process path and ``import curvesys`` never load them.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     # The ``with`` block joins every worker before run_all returns or raises.
     # ``map`` yields in plan order, so the error raised is the one the in-process
     # path raises, and it cancels the suites not yet started when one raises.
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(_run_suite, *zip(*selected)))
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(_run_suite, *zip(*selected)))
+    except BrokenProcessPool as exc:
+        raise WorkerDied(f"a suite worker process died: {exc}") from exc
 
 
 def _run_suite(name: str, args: Tuple[Any, ...]) -> SuiteReport:

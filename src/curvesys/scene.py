@@ -32,8 +32,8 @@ connected (one graph component, so not empty), and a scene carrying homology
 markers must encode genus 1, since markers declare a torus configuration.
 Resolving all crossings of a pair of curves usually leaves a disjoint union of
 circles, which no longer embeds cellularly; such scenes stay structurally
-valid and support the census/triviality operations, but ``validate`` flags
-them as ``NonCellular`` unless asked not to.
+valid and support the census, but ``validate`` flags them as ``NonCellular``
+unless asked not to, and only markers tell which circles bound a disk.
 """
 
 from __future__ import annotations
@@ -632,12 +632,9 @@ def crossing_count(scene: Scene, curve_a: str, curve_b: str) -> int:
 
 
 def trivial_components(scene: Scene) -> List[Component]:
-    """Crossing-free components that bound a disk.
-
-    On marker-carrying (torus) scenes a component is trivial exactly when its
-    signed marker sum vanishes.  Without markers the detector falls back to the
-    face criterion: some face's boundary consists of the component's edges,
-    each traversed once; that is exact for an innermost circle.
+    """Crossing-free components that bound a disk: those whose signed marker
+    sum vanishes.  One without markers raises ``NonCellular``, since circles
+    alone do not encode the surface they lie on.
     """
     ix = scene._index
     census, walks = _strands(ix)
@@ -645,12 +642,9 @@ def trivial_components(scene: Scene) -> List[Component]:
     for comp, walk in zip(census.components, walks):
         if any(ix.deg[p ^ 1] != 2 for p in walk):
             continue
-        if comp.marker_sum is not None:
-            if comp.marker_sum == (0, 0):
-                out.append(comp)
-            continue
-        edge_multiset = sorted(comp.edges)
-        if any(sorted(ix.eid[p >> 1] for p in f) == edge_multiset for f in _faces(ix)):
+        if comp.marker_sum is None:
+            raise NonCellular(f"triviality needs markers; a circle of {comp.curve!r} has none")
+        if comp.marker_sum == (0, 0):
             out.append(comp)
     return out
 

@@ -1,6 +1,7 @@
 """Command line interface."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -251,6 +252,34 @@ def test_verify_bad_parameter_in_a_worker_exits_2(capsys, monkeypatch):
     assert captured.err == "error: trials must be an integer >= 1, got 0\n"
 
 
+def test_verify_dead_worker_exits_2(capsys, monkeypatch, tmp_path):
+    # Two suites and two CPUs: the twist_bounds worker dies without a report.
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "suite_twist_bounds", lambda *args: os._exit(9))
+    out = tmp_path / "report.json"
+    argv = ["verify", "--suite", "twist_bounds", "--suite", "twist_coords", "--trials", "5"]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a suite worker process died") and "Traceback" not in err
+    assert multiprocessing.active_children() == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
+def test_verify_failed_run_leaves_out_as_it_was(capsys, monkeypatch, tmp_path, cpus, existed):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    out = tmp_path / "report.json"
+    if existed:
+        out.write_bytes(b"old report\n")
+    argv = ["verify", "--suite", "twist_coords", "--suite", "product_laws", "--bound", "1"]
+    assert main(argv + ["--trials", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert [f.name for f in tmp_path.iterdir()] == (["report.json"] if existed else [])
+    if existed:
+        assert out.read_bytes() == b"old report\n"
+
+
 def _without_millis(path) -> str:
     doc = json.loads(Path(path).read_text())
     for suite in doc["suites"]:
@@ -292,6 +321,13 @@ def test_verify_bad_out_path_fails_before_any_suite(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("i/o error:") and not out.parent.exists()
+
+
+def test_verify_out_directory_fails_before_any_suite(capsys, tmp_path):
+    assert main(["verify", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("i/o error:")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -7,12 +7,13 @@ import re
 import tempfile
 from collections import defaultdict
 from functools import partial
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from curvesys.corpus import bigon_scene, genus2_filling_pair, trivial_component_scene
+from curvesys.corpus import _two_loops, bigon_scene, genus2_filling_pair, trivial_component_scene
 from curvesys.errors import (
     BigonPresent,
     CurveSysError,
@@ -395,15 +396,48 @@ def test_trivial_components_controls():
     assert [c.curve for c in found] == ["c"]
 
 
-def test_trivial_components_face_criterion_without_markers():
-    # A genus-2 filling pair plus a markerless circle inside one octagon.
+def _markerless_circle_scenes():
+    # A genus-2 filling pair plus a markerless circle: the rotation system does
+    # not say whether the circle bounds a disk or is essential.
     base = genus2_filling_pair()
     mv, me, mh = base.max_ids()
     vertices = list(base.vertices) + [Vertex(mv + 1, (mh + 1, mh + 2))]
     edges = list(base.edges) + [Edge(me + 1, (mh + 2, mh + 1), "c")]
-    scene = Scene("g2-plus-circle", vertices, edges, list(base.curves) + [Curve("c", 1)])
+    yield Scene("g2-plus-circle", vertices, edges, list(base.curves) + [Curve("c", 1)])
+    # The essential (1,0) line with its markers stripped: a circle encoding genus 0.
+    line = torus_lines_scene([("a", (1, 0))])
+    bare = [Edge(e.id, e.half, e.curve) for e in line.edges]
+    yield Scene("bare-line", line.vertices, bare, line.curves)
+    yield resolve(genus2_filling_pair(), "a", "b")
+    yield resolve(genus2_filling_pair(), "b", "a")
+
+
+@pytest.mark.parametrize(
+    "scene", _markerless_circle_scenes(), ids=["g2-plus-circle", "bare-line", "g2-ab", "g2-ba"]
+)
+def test_trivial_components_needs_markers(scene):
+    components(scene)
     validate(scene, require_cellular=False)
-    assert [c.curve for c in trivial_components(scene)] == ["c"]
+    with pytest.raises(NonCellular, match="triviality needs markers"):
+        trivial_components(scene)
+
+
+def test_trivial_components_raises_on_every_resolved_two_loop_scene():
+    """Both resolutions of every bigon-free two-loop scene with n <= 5
+    crossings are markerless circles, so none has a triviality answer."""
+    scenes = raised = 0
+    for n in range(1, 6):
+        for rest in permutations(range(1, n)):
+            for flipped in product((False, True), repeat=n):
+                scene = _two_loops("two-loops", (0, *rest), flipped)
+                if find_bigons(scene, "a", "b"):
+                    continue
+                scenes += 1
+                for frm, to in (("a", "b"), ("b", "a")):
+                    with pytest.raises(NonCellular):
+                        trivial_components(resolve(scene, frm, to))
+                    raised += 1
+    assert (scenes, raised) == (216, 432)
 
 
 def test_component_homology():
