@@ -10,10 +10,14 @@ orders are deterministic, and the only randomness (twist-coordinate trials) is
 driven by an explicit seed, so reports are reproducible byte for byte apart
 from the per-suite ``millis`` timing fields.
 
-:func:`run_all` runs each suite in its own forked worker, min(suites, usable
-CPUs) of them, when it selects two or more suites and may use two or more
-CPUs.  CPU affinity is the only control (``taskset -c 0`` runs in-process),
-and ``millis`` is each suite's own wall time in the process that ran it.
+:func:`run_all` runs each selected suite in its own forked worker when it may
+use two or more CPUs.  The CPUs that the other suites leave free go to
+``resolution_oracle``, whose grid cases it cuts into that many slices of
+about equal crossing count, each in a worker of its own, folded back into one
+report.  With a single task (one suite and no CPU to spare) it runs
+in-process.  CPU affinity is the only control (``taskset -c 0`` runs
+in-process), and ``millis`` is each suite's own wall time in the process that
+ran it, summed over the slices of a sliced suite.
 
 Suites:
 
@@ -36,8 +40,9 @@ from __future__ import annotations
 import os
 import random
 import time
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
-from itertools import product
+from itertools import accumulate, product
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import corpus
@@ -117,9 +122,13 @@ def _named(**values: Any) -> Dict[str, Any]:
     return {k: str(v) if isinstance(v, TorusClass) else v for k, v in values.items()}
 
 
-def _require_bound(value: int, name: str, least: int = 1) -> None:
+def _is_bound(value: Any, least: int = 1) -> bool:
     # Exactly int: a bool is not a bound.
-    if type(value) is not int or value < least:
+    return type(value) is int and value >= least
+
+
+def _require_bound(value: int, name: str, least: int = 1) -> None:
+    if not _is_bound(value, least):
         raise InvalidBound(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -419,6 +428,56 @@ def _vec_iter(bound: int):
             yield (x, y)
 
 
+_OracleCase = Tuple[int, int, int, int, bool]  # p, q, r, s, deep
+
+
+def _oracle_cases(bound: int) -> List[_OracleCase]:
+    """The suite's grid cases in check order: one deep case per unordered
+    pair of canonical classes, then the direct sign sweep at min(bound, 2)."""
+    # Distinct canonical classes as (x, y) tuples, which order as the classes
+    # do, in order of first appearance; each unordered pair once.
+    classes = list(dict.fromkeys((c.x, c.y) for c in (normalize(*v) for v in _vec_iter(bound))))
+    cases: List[_OracleCase] = []
+    for i, a in enumerate(classes):
+        for b in classes[i + 1 :]:
+            if a[0] * b[1] - a[1] * b[0] != 0:
+                cases.append((*min(a, b), *max(a, b), True))
+    small = min(bound, 2)
+    for p, q in _vec_iter(small):
+        for r, s in _vec_iter(small):
+            if p * s - q * r != 0:
+                cases.append((p, q, r, s, False))
+    return cases
+
+
+# The cost of a case in crossings: its grid's |ps - qr| crossings plus a fixed
+# per-case cost.  A least-squares fit over the bound-6 cases gave about 17 us
+# per crossing and 180 us per case: a fixed cost of about ten crossings.
+_ORACLE_CASE_COST = 10
+
+
+def _oracle_slices(cases: Sequence[_OracleCase], n: int) -> List[Tuple[int, int]]:
+    """Cut ``cases`` into at most ``n`` contiguous, non-empty (start, stop)
+    slices of about equal summed cost: each cut falls at the case boundary
+    nearest its even share."""
+    ends = list(accumulate(abs(p * s - q * r) + _ORACLE_CASE_COST for p, q, r, s, _ in cases))
+    total = ends[-1]
+    cuts = [0]
+    for k in range(1, n):
+        share = total * k / n
+        i = bisect_left(ends, share)  # case i straddles or ends at the share
+        before = ends[i - 1] if i else 0
+        cuts.append(i if share - before <= ends[i] - share else i + 1)
+    cuts.append(len(cases))
+    cuts = sorted(set(cuts))
+    return list(zip(cuts, cuts[1:]))
+
+
+# (start, stop) of the cases suite_resolution_oracle checks while _run_suite
+# runs one slice of it; None, all of them, at any other time.
+_oracle_slice: Optional[Tuple[int, int]] = None
+
+
 def suite_resolution_oracle(bound: int = 4, convention: str = "after") -> SuiteReport:
     """Grid scenes versus the torus product.
 
@@ -429,6 +488,9 @@ def suite_resolution_oracle(bound: int = 4, convention: str = "after") -> SuiteR
     sign handling anyway.  The ``convention`` knob exists for fault
     injection: running the suite with the mirrored smoothing convention must
     fail at the (1,0),(0,1) pin.
+
+    In a slice worker of :func:`run_all` it checks that worker's slice of
+    the cases, and the corpus controls only if the slice is the last.
     """
     _require_bound(bound, "bound")
     report = SuiteReport(
@@ -440,84 +502,77 @@ def suite_resolution_oracle(bound: int = 4, convention: str = "after") -> SuiteR
         },
     )
 
-    def check_pair(rep: SuiteReport, p: int, q: int, r: int, s: int, deep: bool) -> None:
-        a = normalize(p, q)
-        b = normalize(r, s)
-        scene = torus_grid_scene(p, q, r, s)
-
-        def fail(clause: str, lhs: Any, rhs: Any, route: Tuple[str, ...] = ()) -> None:
-            inputs = {"p": p, "q": q, "r": r, "s": s, **dict(zip(("from", "to"), route))}
-            rep.fail(clause, inputs, lhs, rhs)
-
-        if deep:
-            diag = validate(scene)
-            rep.cases += 3
-            if not (diag.cellular and diag.genus == 1):
-                fail("grid-cellular-torus", (diag.chi, diag.genus), (0, 1))
-            if not all(d == 4 for d in diag.face_degrees):
-                fail("grid-all-quads", diag.face_degrees, "all 4")
-            if not corner_alternation_ok(scene, "a", "b"):
-                fail("corner-alternation", "mixed corners", "alternating")
-        crossings, expected = crossing_count(scene, "a", "b"), intersection(a, b)
-        rep.cases += 2
-        if crossings != expected:
-            fail("crossing-count", crossings, expected)
-        if find_bigons(scene, "a", "b"):
-            fail("bigon-free", "bigons", "none")
-        for frm, to, merged, prod in (
-            ("a", "b", "a*b", multiply(a, b)),
-            ("b", "a", "b*a", multiply(b, a)),
-        ):
-            resolved = resolve(scene, frm, to, convention=convention)
-            got = components(resolved).class_multiset(merged)
-            rep.cases += 2
-            if got != {prod.primitive(): prod.multiplicity}:
-                census = sorted((str(k), v) for k, v in got.items())
-                want = f"{prod.multiplicity} x {prod.primitive()}"
-                fail("census-matches-product", census, want, (frm, to))
-            trivial = trivial_components(resolved)
-            if trivial:
-                fail("no-trivial-components", f"{len(trivial)} trivial", "none", (frm, to))
-
     def run(rep: SuiteReport) -> None:
-        # Canonical classes as (x, y) tuples, which order as the classes do.
-        classes = [(c.x, c.y) for c in (normalize(p, q) for p, q in _vec_iter(bound))]
-        seen = set()
-        for a in classes:
-            for b in classes:
-                if a[0] * b[1] - a[1] * b[0] == 0:
-                    continue
-                key = (min(a, b), max(a, b))
-                if key in seen:
-                    continue
-                seen.add(key)
-                check_pair(rep, *key[0], *key[1], deep=True)
-        small = min(bound, 2)
-        for p, q in _vec_iter(small):
-            for r, s in _vec_iter(small):
-                if p * s - q * r == 0:
-                    continue
-                check_pair(rep, p, q, r, s, deep=False)
-
-        # Corpus controls.
-        bigon = corpus.bigon_scene()
-        n_bigons = len(find_bigons(bigon, "a", "b"))
-        rep.cases += 1
-        if n_bigons != 2:
-            rep.fail("bigon-control-detected", {"scene": bigon.name}, n_bigons, 2)
-        trivial_scene = corpus.trivial_component_scene()
-        found = [c.curve for c in trivial_components(trivial_scene)]
-        rep.cases += 1
-        if found != ["c"]:
-            rep.fail("trivial-control-detected", {"scene": trivial_scene.name}, found, ["c"])
-        g2 = corpus.genus2_filling_pair()
-        diag = validate(g2)
-        shape = (diag.chi, diag.genus, diag.face_degrees)
-        rep.cases += 1
-        if shape != (-2, 2, (8, 8)):
-            rep.fail("genus2-pair-shape", {"scene": g2.name}, shape, (-2, 2, (8, 8)))
+        cases = _oracle_cases(bound)
+        start, stop = _oracle_slice or (0, len(cases))
+        for p, q, r, s, deep in cases[start:stop]:
+            _check_oracle_case(rep, p, q, r, s, deep, convention)
+        if stop == len(cases):
+            _check_oracle_controls(rep)
 
     return _timed(run, report)
+
+
+def _check_oracle_controls(rep: SuiteReport) -> None:
+    """The corpus control scenes: a bigon, a trivial component, genus 2."""
+    bigon = corpus.bigon_scene()
+    n_bigons = len(find_bigons(bigon, "a", "b"))
+    rep.cases += 1
+    if n_bigons != 2:
+        rep.fail("bigon-control-detected", {"scene": bigon.name}, n_bigons, 2)
+    trivial_scene = corpus.trivial_component_scene()
+    found = [c.curve for c in trivial_components(trivial_scene)]
+    rep.cases += 1
+    if found != ["c"]:
+        rep.fail("trivial-control-detected", {"scene": trivial_scene.name}, found, ["c"])
+    g2 = corpus.genus2_filling_pair()
+    diag = validate(g2)
+    shape = (diag.chi, diag.genus, diag.face_degrees)
+    rep.cases += 1
+    if shape != (-2, 2, (8, 8)):
+        rep.fail("genus2-pair-shape", {"scene": g2.name}, shape, (-2, 2, (8, 8)))
+
+
+def _check_oracle_case(
+    rep: SuiteReport, p: int, q: int, r: int, s: int, deep: bool, convention: str
+) -> None:
+    a = normalize(p, q)
+    b = normalize(r, s)
+    scene = torus_grid_scene(p, q, r, s)
+
+    def fail(clause: str, lhs: Any, rhs: Any, route: Tuple[str, ...] = ()) -> None:
+        inputs = {"p": p, "q": q, "r": r, "s": s, **dict(zip(("from", "to"), route))}
+        rep.fail(clause, inputs, lhs, rhs)
+
+    if deep:
+        diag = validate(scene)
+        rep.cases += 3
+        if not (diag.cellular and diag.genus == 1):
+            fail("grid-cellular-torus", (diag.chi, diag.genus), (0, 1))
+        if not all(d == 4 for d in diag.face_degrees):
+            fail("grid-all-quads", diag.face_degrees, "all 4")
+        if not corner_alternation_ok(scene, "a", "b"):
+            fail("corner-alternation", "mixed corners", "alternating")
+    crossings, expected = crossing_count(scene, "a", "b"), intersection(a, b)
+    rep.cases += 2
+    if crossings != expected:
+        fail("crossing-count", crossings, expected)
+    if find_bigons(scene, "a", "b"):
+        fail("bigon-free", "bigons", "none")
+    for frm, to, merged, prod in (
+        ("a", "b", "a*b", multiply(a, b)),
+        ("b", "a", "b*a", multiply(b, a)),
+    ):
+        resolved = resolve(scene, frm, to, convention=convention)
+        got = components(resolved).class_multiset(merged)
+        rep.cases += 2
+        if got != {prod.primitive(): prod.multiplicity}:
+            census = sorted((str(k), v) for k, v in got.items())
+            want = f"{prod.multiplicity} x {prod.primitive()}"
+            fail("census-matches-product", census, want, (frm, to))
+        trivial = trivial_components(resolved)
+        if trivial:
+            fail("no-trivial-components", f"{len(trivial)} trivial", "none", (frm, to))
 
 
 # ======================================================================
@@ -623,14 +678,19 @@ def run_all(
     the cubic-cost convexity and twist-bound sweeps default to a window of
     min(bound, 3) unless ``conv_bound`` overrides it.
 
-    With two or more suites selected and two or more usable CPUs (the
-    process's affinity set, else ``os.cpu_count()``), each suite runs in its
-    own forked worker, min(suites, CPUs) of them.  Otherwise, and where there
-    is no ``fork``, the suites run in-process one after another.  CPU
-    affinity is the only control: pin the process to one CPU to run serially.
-    Reports are the same either way apart from ``millis``, each suite's own
-    wall time in the process that ran it.  A worker that dies raises
-    ``WorkerDied``.
+    With two or more usable CPUs (the process's affinity set, else
+    ``os.cpu_count()``) and ``fork``, the CPUs that the other selected suites
+    leave free, at least one, go to ``resolution_oracle``: its grid cases are
+    cut into that many contiguous slices of about equal crossing count, the
+    corpus controls in the last.  When that makes two or more tasks (suites
+    and slices), each runs in a forked worker, min(tasks, CPUs) of them, and
+    the slices fold back into one report.  Otherwise the suites run
+    in-process one after another.  CPU affinity is the only control: pin the
+    process to one CPU to run serially.  Reports are the same either way
+    apart from ``millis``: each suite's own wall time in the process that ran
+    it, and for a sliced suite the sum of its slices' times.  An invalid
+    ``bound`` leaves the oracle whole, so it raises where it does in-process.
+    A worker that dies raises ``WorkerDied``.
     """
     if conv_bound is None:
         conv_bound = min(bound, 3)
@@ -648,7 +708,15 @@ def run_all(
         if unknown:
             raise InvalidBound(f"unknown suites: {sorted(unknown)}")
     selected = [(name, args) for name, args in plan if wanted is None or name in wanted]
-    workers = min(len(selected), _usable_cpus())
+    cpus = _usable_cpus()
+    free = max(1, cpus - len(selected) + 1)
+    tasks: List[Tuple[str, Tuple[Any, ...], Optional[Tuple[int, int]]]] = []
+    for name, args in selected:
+        if name == "resolution_oracle" and free > 1 and _is_bound(bound):
+            tasks += [(name, args, cut) for cut in _oracle_slices(_oracle_cases(bound), free)]
+        else:
+            tasks.append((name, args, None))
+    workers = min(len(tasks), cpus)
     if workers < 2 or not hasattr(os, "fork"):
         return [_run_suite(name, args) for name, args in selected]
     # Imported here, so that the in-process path and ``import curvesys`` never load them.
@@ -658,18 +726,36 @@ def run_all(
 
     # The ``with`` block joins every worker before run_all returns or raises.
     # ``map`` yields in plan order, so the error raised is the one the in-process
-    # path raises, and it cancels the suites not yet started when one raises.
+    # path raises, and it cancels the tasks not yet started when one raises.
     try:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            return list(pool.map(_run_suite, *zip(*selected)))
+            done = list(pool.map(_run_suite, *zip(*tasks)))
     except BrokenProcessPool as exc:
         raise WorkerDied(f"a suite worker process died: {exc}") from exc
+    reports: List[SuiteReport] = []
+    for (_, _, cut), report in zip(tasks, done):
+        if cut is None or cut[0] == 0:
+            reports.append(report)
+        else:  # a later slice of the suite just appended
+            first = reports[-1]
+            first.cases += report.cases
+            first.failures += report.failures
+            first.millis += report.millis
+    return reports
 
 
-def _run_suite(name: str, args: Tuple[Any, ...]) -> SuiteReport:
+def _run_suite(
+    name: str, args: Tuple[Any, ...], oracle_slice: Optional[Tuple[int, int]] = None
+) -> SuiteReport:
     # Looked up at call time, so a patched or traced suite_* name is the one
-    # that runs, in-process or in a forked worker, which inherits it.
-    return globals()[f"suite_{name}"](*args)
+    # that runs, in-process or in a forked worker, which inherits it.  A slice
+    # of resolution_oracle goes through that name too, so it is set here.
+    global _oracle_slice
+    _oracle_slice = oracle_slice
+    try:
+        return globals()[f"suite_{name}"](*args)
+    finally:
+        _oracle_slice = None
 
 
 def _usable_cpus() -> int:

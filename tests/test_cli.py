@@ -265,6 +265,41 @@ def test_verify_dead_worker_exits_2(capsys, monkeypatch, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_verify_dead_oracle_slice_worker_exits_2(capsys, monkeypatch, tmp_path):
+    # One suite and two CPUs: resolution_oracle runs in two slices, and the
+    # worker of the last one dies without a report.
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    parent = os.getpid()
+
+    def die(rep):
+        assert os.getpid() != parent, "the last slice ran in-process"
+        os._exit(9)
+
+    monkeypatch.setattr(harness, "_check_oracle_controls", die)
+    out = tmp_path / "report.json"
+    argv = ["verify", "--suite", "resolution_oracle", "--bound", "2", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a suite worker process died") and "Traceback" not in err
+    assert multiprocessing.active_children() == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_oracle_bad_bound_exits_2_before_any_worker(capsys, monkeypatch):
+    def no_fork():
+        raise AssertionError("a worker was started")
+
+    argv = ["verify", "--suite", "resolution_oracle", "--bound", "0"]
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    assert main(argv) == 2
+    in_process = capsys.readouterr()
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert main(argv) == 2
+    assert capsys.readouterr() == in_process
+    assert in_process.err == "error: bound must be an integer >= 1, got 0\n"
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
 def test_verify_failed_run_leaves_out_as_it_was(capsys, monkeypatch, tmp_path, cpus, existed):

@@ -1,9 +1,11 @@
 """Verification harness: suite behavior, determinism, fault injection."""
 
+import itertools
 import json
 import multiprocessing
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -20,6 +22,7 @@ from curvesys.harness import (
     suite_twist_coords,
     suite_twist_dynamics,
 )
+from curvesys.scene import resolve as scene_resolve
 from curvesys.torus import TorusClass
 
 
@@ -94,7 +97,9 @@ def test_report_structure_and_determinism():
     assert _without_millis(r1) == _without_millis(r2)
 
 
-@pytest.mark.parametrize("cpus", [2, 3, 6])
+# On 8 CPUs the five other suites leave three to resolution_oracle, whose
+# slices fold back between twist_bounds and twist_coords.
+@pytest.mark.parametrize("cpus", [2, 3, 6, 8])
 def test_reports_are_the_same_for_every_worker_count(monkeypatch, cpus):
     def run(usable):
         monkeypatch.setattr(harness, "_usable_cpus", lambda: usable)
@@ -330,3 +335,92 @@ def test_faulted_suites_report_the_same_through_run_all(monkeypatch):
     same = _without_millis(reports) == _without_millis(in_process)
     assert same, "same counts, but the witnesses differ in content or order"
     assert multiprocessing.active_children() == []
+
+
+# ----------------------------------------------------------------------
+# resolution_oracle cut into slices
+# ----------------------------------------------------------------------
+
+
+def _mirrored_resolve(scene, frm, to, convention="after"):
+    return scene_resolve(scene, frm, to, convention="before")
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 6])
+def test_sliced_oracle_reports_the_failures_of_the_in_process_run(monkeypatch, cpus):
+    """Forked slice workers inherit the patched resolve; the folded report
+    has the in-process cases and every failure, in order."""
+    monkeypatch.setattr(harness, "resolve", _mirrored_resolve)
+    in_process = suite_resolution_oracle(3, convention="before")
+    assert len(in_process.failures) > 0
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    [report] = run_all(bound=3, suites=["resolution_oracle"])
+    assert (report.suite, report.cases) == (in_process.suite, in_process.cases)
+    assert report.failures == in_process.failures
+    assert multiprocessing.active_children() == []
+
+
+def test_sliced_oracle_report_equals_the_in_process_report(monkeypatch):
+    in_process = suite_resolution_oracle(4)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    assert _without_millis(run_all(bound=4, suites=["resolution_oracle"])) == _without_millis(
+        [in_process]
+    )
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 6])
+def test_oracle_cases_keep_the_first_seen_order_of_class_pairs(bound):
+    # The reference: every ordered pair of canonical vectors, each unordered
+    # class pair kept where it is first seen.
+    classes = [(c.x, c.y) for c in (torus.normalize(p, q) for p, q in harness._vec_iter(bound))]
+    deep, seen = [], set()
+    for a in classes:
+        for b in classes:
+            key = (min(a, b), max(a, b))
+            if a[0] * b[1] != a[1] * b[0] and key not in seen:
+                seen.add(key)
+                deep.append((*key[0], *key[1], True))
+    small = min(bound, 2)
+    sweep = [
+        (p, q, r, s, False)
+        for p, q in harness._vec_iter(small)
+        for r, s in harness._vec_iter(small)
+        if p * s != q * r
+    ]
+    assert harness._oracle_cases(bound) == deep + sweep
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_oracle_slices_cover_the_cases_in_even_shares(n):
+    cases = harness._oracle_cases(6)
+    slices = harness._oracle_slices(cases, n)
+    assert len(slices) == n
+    assert slices[0][0] == 0 and slices[-1][1] == len(cases)
+    assert all(stop == start for (_, stop), (start, _) in zip(slices, slices[1:]))
+    weights = [abs(p * s - q * r) + harness._ORACLE_CASE_COST for p, q, r, s, _ in cases]
+    share = sum(weights) / n
+    for start, stop in slices:
+        assert start < stop
+        assert abs(sum(weights[start:stop]) - share) <= max(weights)
+
+
+def test_only_the_last_oracle_slice_checks_the_controls():
+    # Cases check 9 clauses when deep and 6 in the sign sweep; the corpus
+    # controls add 3.
+    cases = harness._oracle_cases(2)
+    slices = harness._oracle_slices(cases, 3)
+    got = [harness._run_suite("resolution_oracle", (2,), cut).cases for cut in slices]
+    want = [sum(9 if deep else 6 for *_, deep in cases[start:stop]) for start, stop in slices]
+    want[-1] += 3
+    assert got == want
+    assert sum(got) == suite_resolution_oracle(2).cases
+
+
+def test_a_sliced_suite_reports_the_sum_of_its_slice_times(monkeypatch):
+    # Every timed interval reads one second, in the parent and in the workers.
+    ticks = itertools.count()
+    monkeypatch.setattr(harness, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+    [report] = run_all(bound=2, suites=["resolution_oracle"])
+    assert report.millis == 3000
