@@ -218,7 +218,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.out and os.path.isdir(args.out):
         raise IsADirectoryError(f"--out {args.out!r} is a directory")
     tmp = f"{args.out}.{os.getpid()}.tmp" if args.out else None
-    report_file = open(tmp, "x") if tmp else nullcontext()
+    try:
+        report_file = open(tmp, "x") if tmp else nullcontext()
+    except OSError as exc:
+        # Name the path the user gave, not the temporary file beside it.
+        raise OSError(exc.errno, exc.strerror, args.out) from exc
     try:
         with report_file as fh:
             reports = harness.run_all(

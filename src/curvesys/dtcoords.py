@@ -23,6 +23,7 @@ from typing import Any, Dict, List, Sequence, Tuple, Union
 from .errors import (
     CountMismatch,
     IntersectionMismatch,
+    InvalidChoice,
     MissedCurveTwistMismatch,
     NegativeTwistOnMissedCurve,
     ParityViolation,
@@ -191,7 +192,7 @@ def dehn_twist(x: DTCoords, i: int, direction: str = "positive") -> DTCoords:
     if type(i) is not int or not 1 <= i <= len(x.m):  # bool is not int
         raise UnknownCurveIndex(f"curve index {i!r} outside 1..{len(x.m)}")
     if direction not in ("positive", "negative"):
-        raise ValueError(f"direction must be 'positive' or 'negative', got {direction!r}")
+        raise InvalidChoice(f"direction must be 'positive' or 'negative', got {direction!r}")
     delta = x.m[i - 1] if direction == "positive" else -x.m[i - 1]
     t = list(x.t)
     t[i - 1] += delta

@@ -5,6 +5,10 @@ class CurveSysError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InvalidChoice(CurveSysError, ValueError):
+    """A string argument outside its allowed values (twist direction, smoothing convention)."""
+
+
 # ---- torus algebra ----
 
 class InvalidClass(CurveSysError, ValueError):
@@ -17,6 +21,14 @@ class InvalidExponent(CurveSysError, ValueError):
 
 class NotSimpleLoop(CurveSysError, ValueError):
     """Dehn twists are only defined along primitive (single-loop) classes."""
+
+
+class InvalidProfile(CurveSysError, ValueError):
+    """Convexity profile values that do not fit the range, are negative or are not convex."""
+
+
+class OutsideProfile(CurveSysError, IndexError):
+    """A convexity profile was read at an n outside its range."""
 
 
 # ---- scene engine ----

@@ -267,9 +267,10 @@ def suite_convexity(bound: int = 3, n_min: int = -6, n_max: int = 6) -> SuiteRep
         for a in classes:
             for b in classes:
                 crossing = intersection(a, b) > 0
-                powers = {n: signed_power_multiply(a, n, b) for n in ns}
+                d = 1 if a.x * b.y - b.x * a.y > 0 else -1
+                powers = [signed_power_multiply(a, n, b) for n in ns]
                 for g in classes:
-                    values = [intersection(powers[n], g) for n in ns]
+                    values = [intersection(p, g) for p in powers]
                     rep.cases += len(inner)
                     for i in inner:
                         if 2 * values[i] > values[i - 1] + values[i + 1]:
@@ -280,13 +281,12 @@ def suite_convexity(bound: int = 3, n_min: int = -6, n_max: int = 6) -> SuiteRep
                                 values[i - 1] + values[i + 1],
                             )
                     if crossing:
-                        d = 1 if a.x * b.y - b.x * a.y > 0 else -1
-                        closed = [
-                            abs(
-                                (d * n * a.x + b.x) * g.y - g.x * (d * n * a.y + b.y)
-                            )
-                            for n in ns
-                        ]
+                        # a^n b = +-(d n a + b) with d = sign det(a, b), so
+                        # I(a^n b, g) = |n A + B| with A = d det(a, g) and
+                        # B = det(b, g).
+                        big_a = d * (a.x * g.y - g.x * a.y)
+                        big_b = b.x * g.y - g.x * b.y
+                        closed = [abs(n * big_a + big_b) for n in ns]
                         rep.cases += 1
                         if values != closed:
                             rep.fail("closed-form-agreement", _named(a=a, b=b, g=g), values, closed)

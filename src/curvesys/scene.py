@@ -46,6 +46,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from .errors import (
     BigonPresent,
     DanglingHalfEdge,
+    InvalidChoice,
     InvalidCount,
     InvalidScene,
     NonAlternatingCrossing,
@@ -684,7 +685,7 @@ def resolve(
     (past the largest id, in vertex order), one starting at each 'to' dart.
     """
     if convention not in _CONVENTIONS:
-        raise ValueError(f"convention must be one of {_CONVENTIONS}, got {convention!r}")
+        raise InvalidChoice(f"convention must be one of {_CONVENTIONS}, got {convention!r}")
     ix = _require(scene, from_curve, to_curve)
     if from_curve == to_curve:
         raise InvalidScene("resolve needs two distinct curve ids")

@@ -18,7 +18,15 @@ from dataclasses import dataclass
 from math import gcd
 from typing import List, Tuple
 
-from .errors import InvalidBound, InvalidClass, InvalidExponent, NotSimpleLoop
+from .errors import (
+    InvalidBound,
+    InvalidChoice,
+    InvalidClass,
+    InvalidExponent,
+    InvalidProfile,
+    NotSimpleLoop,
+    OutsideProfile,
+)
 
 __all__ = [
     "TorusClass",
@@ -35,22 +43,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class TorusClass:
-    """A nonzero vector up to sign, stored with x > 0 or (x = 0, y > 0)."""
+    """A nonzero vector up to sign, stored with x > 0 or (x = 0, y > 0).
 
+    Every instance is built by ``__init__``, which checks and normalises its
+    arguments and then writes each slot once through the slot's descriptor,
+    past the frozen class's ``__setattr__``.  The slots are declared in the
+    body rather than with ``slots=True``, which would re-create the class and
+    leave the generated ``__setattr__`` raising ``TypeError`` instead of
+    ``FrozenInstanceError`` for names that are not fields.
+    """
+
+    __slots__ = ("x", "y")
     x: int
     y: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, x: int, y: int) -> None:
         # Exactly int: a bool is not a coordinate.
-        if type(self.x) is not int or type(self.y) is not int:
-            raise InvalidClass(f"integer coordinates required, got ({self.x!r}, {self.y!r})")
-        if self.x == 0 and self.y == 0:
+        if type(x) is not int or type(y) is not int:
+            raise InvalidClass(f"integer coordinates required, got ({x!r}, {y!r})")
+        if x == 0 and y == 0:
             raise InvalidClass("the zero vector does not represent a curve system")
-        if self.x < 0 or (self.x == 0 and self.y < 0):
-            object.__setattr__(self, "x", -self.x)
-            object.__setattr__(self, "y", -self.y)
+        if x < 0 or (x == 0 and y < 0):
+            x = -x
+            y = -y
+        _set_x(self, x)
+        _set_y(self, y)
 
     @property
     def multiplicity(self) -> int:
@@ -64,8 +83,17 @@ class TorusClass:
     def is_primitive(self) -> bool:
         return self.multiplicity == 1
 
+    def __reduce__(self):
+        # Copies and unpickled instances are built by __init__ too.
+        return (TorusClass, (self.x, self.y))
+
     def __str__(self) -> str:
         return f"({self.x},{self.y})"
+
+
+# The slot descriptors' setters, bound once: TorusClass.__init__ calls them.
+_set_x = TorusClass.x.__set__
+_set_y = TorusClass.y.__set__
 
 
 def normalize(x: int, y: int) -> TorusClass:
@@ -122,7 +150,7 @@ def dehn_twist(a: TorusClass, b: TorusClass, direction: str = "positive") -> Tor
     if not a.is_primitive():
         raise NotSimpleLoop(f"{a} is {a.multiplicity} parallel loops, not a simple loop")
     if direction not in ("positive", "negative"):
-        raise ValueError(f"direction must be 'positive' or 'negative', got {direction!r}")
+        raise InvalidChoice(f"direction must be 'positive' or 'negative', got {direction!r}")
     k = intersection(a, b)
     return signed_power_multiply(a, k if direction == "positive" else -k, b)
 
@@ -147,18 +175,18 @@ class ConvexityProfile:
         if self.n_min > self.n_max:
             raise InvalidBound(f"empty range {self.n_min}..{self.n_max}")
         if len(self.values) != self.n_max - self.n_min + 1:
-            raise ValueError("values length does not match the range")
+            raise InvalidProfile("values length does not match the range")
         if any(v < 0 for v in self.values):
-            raise ValueError("intersection numbers are non-negative")
+            raise InvalidProfile("intersection numbers are non-negative")
         for i in range(1, len(self.values) - 1):
             if 2 * self.values[i] > self.values[i - 1] + self.values[i + 1]:
-                raise ValueError(
+                raise InvalidProfile(
                     f"profile not midpoint convex at n={self.n_min + i}: {self.values}"
                 )
 
     def value_at(self, n: int) -> int:
         if not self.n_min <= n <= self.n_max:
-            raise IndexError(f"n={n} outside {self.n_min}..{self.n_max}")
+            raise OutsideProfile(f"n={n} outside {self.n_min}..{self.n_max}")
         return self.values[n - self.n_min]
 
 

@@ -358,6 +358,13 @@ def test_verify_bad_out_path_fails_before_any_suite(capsys, tmp_path):
     assert captured.err.startswith("i/o error:") and not out.parent.exists()
 
 
+def test_verify_bad_out_path_names_the_path_given(capsys, tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["verify", "--suite", "twist_coords", "--trials", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"i/o error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+
 def test_verify_out_directory_fails_before_any_suite(capsys, tmp_path):
     assert main(["verify", "--out", str(tmp_path)]) == 2
     captured = capsys.readouterr()

@@ -22,7 +22,9 @@ from curvesys.dtcoords import (
 )
 from curvesys.errors import (
     CountMismatch,
+    CurveSysError,
     IntersectionMismatch,
+    InvalidChoice,
     MissedCurveTwistMismatch,
     NegativeTwistOnMissedCurve,
     ParityViolation,
@@ -135,6 +137,15 @@ def test_dehn_twist():
     for bad in (True, 1.0, "1", None):
         with pytest.raises(UnknownCurveIndex):
             dehn_twist(x, bad)
+
+
+@pytest.mark.parametrize("direction", ["left", "Positive", None])
+def test_dehn_twist_rejects_unknown_directions(direction):
+    x = DTCoords(m=(2, 0, 0), t=(3, 0, 1), b=())
+    with pytest.raises(InvalidChoice) as info:
+        dehn_twist(x, 1, direction)
+    assert isinstance(info.value, CurveSysError) and isinstance(info.value, ValueError)
+    assert str(info.value) == f"direction must be 'positive' or 'negative', got {direction!r}"
 
 
 def test_solve_twists():

@@ -298,9 +298,9 @@ def _faulted_suites_in_process():
     ]
 
 
-def test_algebra_suite_failures_are_unchanged(monkeypatch):
-    _inject_faults(monkeypatch)
-    reports = _faulted_suites_in_process()
+def _clause_summary(reports):
+    """Per suite: the case count and, per clause, its failure count and first
+    witness."""
     got = {}
     for r in reports:
         clauses = {}
@@ -308,7 +308,59 @@ def test_algebra_suite_failures_are_unchanged(monkeypatch):
             entry = clauses.setdefault(f.clause, [0, f.inputs, f.lhs, f.rhs])
             entry[0] += 1
         got[r.suite] = (r.cases, {clause: tuple(v) for clause, v in clauses.items()})
-    assert got == _PINNED_FAILURES
+    return got
+
+
+def test_algebra_suite_failures_are_unchanged(monkeypatch):
+    _inject_faults(monkeypatch)
+    assert _clause_summary(_faulted_suites_in_process()) == _PINNED_FAILURES
+
+
+def _bad_signed_power_multiply(a, n, b):
+    """The true a^n b, except that an exponent n > 1 is taken as n + 1."""
+    return torus.signed_power_multiply(a, n + 1 if n > 1 else n, b)
+
+
+# Per suite, as in _PINNED_FAILURES: product_laws and convexity at bound 3
+# with signed_power_multiply faulted as above.
+_PINNED_POWER_FAILURES = {
+    "product_laws": (
+        34370,
+        {
+            "exponent-additivity": (
+                3168, {"a": "(0,1)", "b": "(1,-3)", "n": -2, "m": 2}, "(1,-4)", "(1,-3)"
+            ),
+            "twist-power-form": (302, {"a": "(0,1)", "b": "(2,-3)"}, "(2,-5)", "(2,-6)"),
+        },
+    ),
+    "convexity": (
+        271105,
+        {
+            "midpoint-convexity": (
+                11628, {"a": "(0,1)", "b": "(0,1)", "g": "(1,-3)", "n": 2}, "8", "7"
+            ),
+            "closed-form-agreement": (
+                11640,
+                {"a": "(0,1)", "b": "(1,-3)", "g": "(1,-3)"},
+                "[6, 5, 4, 3, 2, 1, 0, 1, 3, 4, 5, 6, 7]",
+                "[6, 5, 4, 3, 2, 1, 0, 1, 2, 3, 4, 5, 6]",
+            ),
+            "twist-iterate-power": (2102, {"a": "(0,1)", "b": "(1,-3)", "n": 2}, "(1,-5)", "(1,-6)"),
+            "spot-profile": (
+                1,
+                {"a": "(1,0)", "b": "(0,1)", "g": "(1,2)", "range": "-2..2"},
+                "[5, 3, 1, 1, 5]",
+                "[5, 3, 1, 1, 3]",
+            ),
+        },
+    ),
+}
+
+
+def test_faulted_powers_fail_the_pinned_clauses(monkeypatch):
+    monkeypatch.setattr(harness, "signed_power_multiply", _bad_signed_power_multiply)
+    reports = [suite_product_laws(3), suite_convexity(3)]
+    assert _clause_summary(reports) == _PINNED_POWER_FAILURES
 
 
 def test_faulted_suites_report_the_same_through_run_all(monkeypatch):

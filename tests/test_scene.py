@@ -18,6 +18,7 @@ from curvesys.errors import (
     BigonPresent,
     CurveSysError,
     DanglingHalfEdge,
+    InvalidChoice,
     InvalidCount,
     NonAlternatingCrossing,
     NonCellular,
@@ -282,6 +283,14 @@ def test_resolve_pins_smoothing_convention():
     # The mirrored convention must produce the reversed product.
     flipped = resolve(scene, "a", "b", convention="before")
     assert census_classes(flipped) == {normalize(1, -1): 1}
+
+
+@pytest.mark.parametrize("convention", ["during", "After", None])
+def test_resolve_rejects_unknown_conventions(convention):
+    with pytest.raises(InvalidChoice) as info:
+        resolve(torus_grid_scene(1, 0, 0, 1), "a", "b", convention=convention)
+    assert isinstance(info.value, CurveSysError) and isinstance(info.value, ValueError)
+    assert f"got {convention!r}" in str(info.value)
 
 
 def test_resolve_matches_product_on_grids():

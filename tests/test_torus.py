@@ -1,11 +1,20 @@
 """Torus class arithmetic: frozen examples and algebraic properties."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from curvesys.errors import InvalidClass, InvalidExponent, NotSimpleLoop
+from curvesys.errors import (
+    CurveSysError,
+    InvalidChoice,
+    InvalidClass,
+    InvalidExponent,
+    InvalidProfile,
+    NotSimpleLoop,
+    OutsideProfile,
+)
 from curvesys.torus import (
     ConvexityProfile,
+    TorusClass,
     convexity_profile,
     dehn_twist,
     enumerate_classes,
@@ -59,6 +68,17 @@ def test_enumerate_classes_rejects_bad_bounds(bound):
 @given(nonzero_vec)
 def test_normalize_sign_invariant(v):
     assert normalize(*v) == normalize(-v[0], -v[1])
+
+
+@given(st.integers(), st.integers())
+def test_classes_store_the_canonical_sign(x, y):
+    """Against a reference: the stored vector is (x, y) or (-x, -y), whichever
+    has x > 0 or x = 0 < y.  Unbounded integers, so big ones too."""
+    assume((x, y) != (0, 0))
+    want = (x, y) if x > 0 or (x == 0 and y > 0) else (-x, -y)
+    c = TorusClass(x, y)
+    assert (c.x, c.y) == want
+    assert type(c.x) is int and type(c.y) is int
 
 
 def test_multiplicity_and_primitive():
@@ -233,6 +253,14 @@ def test_dehn_twist_rejects_multicurve():
         dehn_twist(normalize(2, 0), normalize(0, 1))
 
 
+@pytest.mark.parametrize("direction", ["left", "Positive", None])
+def test_dehn_twist_rejects_unknown_directions(direction):
+    with pytest.raises(InvalidChoice) as info:
+        dehn_twist(normalize(1, 0), normalize(0, 1), direction)
+    assert isinstance(info.value, CurveSysError) and isinstance(info.value, ValueError)
+    assert str(info.value) == f"direction must be 'positive' or 'negative', got {direction!r}"
+
+
 @given(nonzero_vec, nonzero_vec)
 def test_dehn_twist_inverse(u, v):
     a = normalize(*u).primitive()
@@ -284,6 +312,32 @@ def test_profile_type_rejects_nonconvex():
         )
     with pytest.raises(ValueError):
         ConvexityProfile(normalize(1, 0), normalize(0, 1), normalize(1, 2), 2, 0, ())
+
+
+@pytest.mark.parametrize(
+    "n_min,n_max,values,message",
+    [
+        (0, 2, (0, 5, 0), "profile not midpoint convex at n=1: (0, 5, 0)"),
+        (0, 2, (1, 1), "values length does not match the range"),
+        (0, 1, (1, -1), "intersection numbers are non-negative"),
+    ],
+)
+def test_profile_rejects_bad_values_as_invalid_profile(n_min, n_max, values, message):
+    a, b, g = normalize(1, 0), normalize(0, 1), normalize(1, 2)
+    with pytest.raises(InvalidProfile) as info:
+        ConvexityProfile(a, b, g, n_min, n_max, values)
+    assert isinstance(info.value, CurveSysError) and isinstance(info.value, ValueError)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n", [-3, 3, 100])
+def test_profile_value_at_outside_the_range(n):
+    prof = convexity_profile(normalize(1, 0), normalize(0, 1), normalize(1, 2), -2, 2)
+    assert [prof.value_at(k) for k in range(-2, 3)] == [5, 3, 1, 1, 3]
+    with pytest.raises(OutsideProfile) as info:
+        prof.value_at(n)
+    assert isinstance(info.value, CurveSysError) and isinstance(info.value, IndexError)
+    assert str(info.value) == f"n={n} outside -2..2"
 
 
 @given(nonzero_vec, nonzero_vec, nonzero_vec)
