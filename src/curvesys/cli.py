@@ -10,8 +10,9 @@ Subcommands mirror the library layers::
     curvesys dt validate FILE
     curvesys dt twist FILE --k 2,0,0
     curvesys dt solve FILE OTHER
-    curvesys verify [--suite NAME] [--bound N] [--range a..b] [--trials N]
-                    [--seed N] [--out PATH]
+    curvesys verify [--suite NAME] [--bound N] [--conv-bound N] [--range a..b]
+                    [--trials N] [--seed N] [--out PATH]
+    curvesys corpus OUTDIR
 
 Exit status: 0 on success, 1 when verification found failures, 2 on usage or
 data errors and when a verify worker process dies.
@@ -27,6 +28,7 @@ from contextlib import nullcontext
 from typing import Optional, Sequence, Tuple
 
 from . import harness
+from .corpus import write_corpus
 from .dtcoords import (
     dt_to_dict,
     load_dt,
@@ -120,6 +122,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trials", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=7)
     p_verify.add_argument("--out", help="write the JSON report here")
+
+    p_corpus = sub.add_parser("corpus", help="write the scene corpus")
+    p_corpus.add_argument("outdir", help="directory to write the corpus into")
     return parser
 
 
@@ -254,6 +259,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if total == 0 else 1
 
 
+def _cmd_corpus(args: argparse.Namespace) -> int:
+    n = write_corpus(args.outdir)
+    print(f"wrote {n} files under {args.outdir}")
+    return 0
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
@@ -261,6 +272,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "scene": _cmd_scene,
         "dt": _cmd_dt,
         "verify": _cmd_verify,
+        "corpus": _cmd_corpus,
     }
     try:
         return handlers[args.command](args)

@@ -20,13 +20,10 @@ files.
 
 from __future__ import annotations
 
-import sys
-from itertools import combinations
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
 from .dtcoords import DTCoords, PantsDecomposition, save_dt
-from .errors import CurveSysError
 from .grids import torus_grid_scene
 from .scene import Curve, Edge, Scene, Vertex
 from .sceneio import save_scene
@@ -132,60 +129,42 @@ def dt_decompositions() -> Dict[str, Tuple[PantsDecomposition, DTCoords]]:
 
 
 def grid_corpus_parameters(bound: int = GRID_BOUND) -> List[Tuple[int, int, int, int]]:
-    """(p, q, r, s) for one grid per unordered pair of canonical classes."""
-    classes = enumerate_classes(bound)
-    out = []
-    for a, b in combinations(classes, 2):
-        if intersection(a, b) == 0:
-            continue
-        out.append((a.x, a.y, b.x, b.y))
-    return out
+    """(p, q, r, s) for one grid per unordered pair of crossing canonical
+    classes, smaller class first.  This is also the order in which
+    ``resolution_oracle`` checks them: the pairs come from the classes in
+    descending order, which is the order in which its signed-vector sweep
+    first meets them."""
+    cs = enumerate_classes(bound)[::-1]
+    return [
+        (b.x, b.y, a.x, a.y) for i, a in enumerate(cs) for b in cs[i + 1 :] if intersection(a, b)
+    ]
 
 
-def write_corpus(root: Union[str, Path], bound: int = GRID_BOUND) -> int:
+def write_corpus(root: Union[str, Path]) -> int:
     """Write the full corpus under ``root``; returns the number of files."""
     root = Path(root)
-    grids = grid_corpus_parameters(bound)  # checks the bound before any directory is made
-    (root / "grids").mkdir(parents=True, exist_ok=True)
-    (root / "curated").mkdir(exist_ok=True)
-    (root / "dt").mkdir(exist_ok=True)
-    n = 0
+    for sub in ("grids", "curated", "dt"):
+        (root / sub).mkdir(parents=True, exist_ok=True)
+    grids = grid_corpus_parameters()
     for p, q, r, s in grids:
-        save_scene(
-            torus_grid_scene(p, q, r, s), root / "grids" / f"grid_{p}_{q}_{r}_{s}.json"
-        )
-        n += 1
-    for name, scene in (
-        ("genus2_filling_pair", genus2_filling_pair()),
-        ("bigon_torus", bigon_scene()),
-        ("trivial_component", trivial_component_scene()),
-    ):
+        save_scene(torus_grid_scene(p, q, r, s), root / "grids" / f"grid_{p}_{q}_{r}_{s}.json")
+    curated = {
+        "genus2_filling_pair": genus2_filling_pair(),
+        "bigon_torus": bigon_scene(),
+        "trivial_component": trivial_component_scene(),
+    }
+    for name, scene in curated.items():
         save_scene(scene, root / "curated" / f"{name}.json")
-        n += 1
-    for name, (d, x) in dt_decompositions().items():
+    dts = dt_decompositions()
+    for name, (d, x) in dts.items():
         save_dt(d, x, root / "dt" / f"{name}.json")
-        n += 1
-    return n
-
-
-def main(argv: List[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description="write the curvesys scene corpus")
-    parser.add_argument("outdir", help="directory to write the corpus into")
-    parser.add_argument("--bound", type=int, default=GRID_BOUND)
-    args = parser.parse_args(argv)
-    try:
-        n = write_corpus(args.outdir, args.bound)
-    except CurveSysError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
-    print(f"wrote {n} files under {args.outdir}")
-    return 0
+    return len(grids) + len(curated) + len(dts)
 
 
 if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    # ``python -m curvesys.corpus OUTDIR`` is ``curvesys corpus OUTDIR``.
+    import sys
+
+    from .cli import main
+
+    raise SystemExit(main(["corpus", *sys.argv[1:]]))

@@ -28,7 +28,7 @@ class InvalidProfile(CurveSysError, ValueError):
 
 
 class OutsideProfile(CurveSysError, IndexError):
-    """A convexity profile was read at an n outside its range."""
+    """A convexity profile was read at an n outside its range, or at a non-integer n."""
 
 
 # ---- scene engine ----
@@ -59,6 +59,8 @@ class NonOrientableOrCorrupt(SceneError):
 
 class UnknownCurve(SceneError, KeyError):
     """A curve id that the scene does not contain."""
+
+    __str__ = Exception.__str__  # KeyError's own would quote the message
 
 
 class BigonPresent(SceneError):

@@ -66,6 +66,7 @@ from .scene import (
 )
 from .torus import (
     TorusClass,
+    _check_range,
     dehn_twist,
     enumerate_classes,
     enumerate_primitive_classes,
@@ -256,8 +257,7 @@ def suite_product_laws(bound: int = 4) -> SuiteReport:
 
 def suite_convexity(bound: int = 3, n_min: int = -6, n_max: int = 6) -> SuiteReport:
     _require_bound(bound, "bound")
-    if type(n_min) is not int or type(n_max) is not int or n_min > n_max:
-        raise InvalidBound(f"empty or non-integer range {n_min!r}..{n_max!r}")
+    _check_range(n_min, n_max)
     report = SuiteReport("convexity", {"bound": bound, "n_min": n_min, "n_max": n_max})
 
     def run(rep: SuiteReport) -> None:
@@ -432,16 +432,9 @@ _OracleCase = Tuple[int, int, int, int, bool]  # p, q, r, s, deep
 
 
 def _oracle_cases(bound: int) -> List[_OracleCase]:
-    """The suite's grid cases in check order: one deep case per unordered
-    pair of canonical classes, then the direct sign sweep at min(bound, 2)."""
-    # Distinct canonical classes as (x, y) tuples, which order as the classes
-    # do, in order of first appearance; each unordered pair once.
-    classes = list(dict.fromkeys((c.x, c.y) for c in (normalize(*v) for v in _vec_iter(bound))))
-    cases: List[_OracleCase] = []
-    for i, a in enumerate(classes):
-        for b in classes[i + 1 :]:
-            if a[0] * b[1] - a[1] * b[0] != 0:
-                cases.append((*min(a, b), *max(a, b), True))
+    """The suite's grid cases in check order: one deep case per grid of the
+    corpus, then the direct sign sweep at min(bound, 2)."""
+    cases: List[_OracleCase] = [(*g, True) for g in corpus.grid_corpus_parameters(bound)]
     small = min(bound, 2)
     for p, q in _vec_iter(small):
         for r, s in _vec_iter(small):

@@ -172,10 +172,11 @@ class ConvexityProfile:
     values: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n_min > self.n_max:
-            raise InvalidBound(f"empty range {self.n_min}..{self.n_max}")
+        _check_range(self.n_min, self.n_max)
         if len(self.values) != self.n_max - self.n_min + 1:
             raise InvalidProfile("values length does not match the range")
+        if any(type(v) is not int for v in self.values):
+            raise InvalidProfile(f"intersection numbers are integers: {self.values}")
         if any(v < 0 for v in self.values):
             raise InvalidProfile("intersection numbers are non-negative")
         for i in range(1, len(self.values) - 1):
@@ -185,15 +186,25 @@ class ConvexityProfile:
                 )
 
     def value_at(self, n: int) -> int:
+        if type(n) is not int:
+            raise OutsideProfile(f"n={n!r} is not an integer")
         if not self.n_min <= n <= self.n_max:
             raise OutsideProfile(f"n={n} outside {self.n_min}..{self.n_max}")
         return self.values[n - self.n_min]
+
+
+def _check_range(n_min: int, n_max: int) -> None:
+    if type(n_min) is not int or type(n_max) is not int:
+        raise InvalidBound(f"non-integer range {n_min!r}..{n_max!r}")
+    if n_min > n_max:
+        raise InvalidBound(f"empty range {n_min}..{n_max}")
 
 
 def convexity_profile(
     a: TorusClass, b: TorusClass, g: TorusClass, n_min: int, n_max: int
 ) -> ConvexityProfile:
     """Profile of I(a^n b, g) for n in n_min..n_max."""
+    _check_range(n_min, n_max)
     values = tuple(
         intersection(signed_power_multiply(a, n, b), g) for n in range(n_min, n_max + 1)
     )

@@ -138,6 +138,41 @@ def test_scene_unknown_curve(capsys, grid_file):
     assert main(["scene", "resolve", grid_file, "--from", "a", "--to", "zzz"]) == 2
 
 
+def test_scene_unknown_curve_message_is_not_quoted(capsys):
+    path = str(Path(__file__).resolve().parent.parent / "corpus" / "curated" / "bigon_torus.json")
+    assert main(["scene", "bigons", path, "--from", "a", "--to", "zz"]) == 2
+    assert capsys.readouterr().err == "error: scene 'bigon-control' has no curve 'zz'\n"
+
+
+def test_corpus_writes_the_corpus(capsys, tmp_path):
+    assert main(["corpus", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out == f"wrote 758 files under {tmp_path / 'out'}\n"
+    assert len(list((tmp_path / "out" / "grids").iterdir())) == 752
+
+
+def test_corpus_out_under_a_file_exits_2(capsys, tmp_path):
+    """An output directory that cannot be made prints one error line, exits
+    2 and writes nothing."""
+    (tmp_path / "file").write_text("")
+    assert main(["corpus", str(tmp_path / "file" / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("i/o error:") and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_python_m_curvesys_corpus_is_the_corpus_command(tmp_path):
+    (tmp_path / "file").write_text("")
+    env = dict(os.environ, PYTHONPATH=str(Path(curvesys.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "curvesys.corpus", str(tmp_path / "file" / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("i/o error:") and "Traceback" not in done.stderr
+    assert done.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
 def _write_scene(path, vertices, edges, curves):
     data = {
         "name": path.stem,

@@ -6,6 +6,7 @@ import multiprocessing
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -441,6 +442,13 @@ def test_oracle_cases_keep_the_first_seen_order_of_class_pairs(bound):
         if p * s != q * r
     ]
     assert harness._oracle_cases(bound) == deep + sweep
+
+
+def test_oracle_deep_cases_at_bound_4_are_the_shipped_grids():
+    grids = Path(__file__).resolve().parent.parent / "corpus" / "grids"
+    names = [f"grid_{p}_{q}_{r}_{s}.json" for p, q, r, s, deep in harness._oracle_cases(4) if deep]
+    assert len(names) == 752
+    assert sorted(names) == sorted(f.name for f in grids.iterdir())
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])

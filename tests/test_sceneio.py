@@ -9,11 +9,11 @@ from curvesys.cli import main
 from curvesys.corpus import (
     bigon_scene,
     genus2_filling_pair,
-    main as corpus_main,
+    grid_corpus_parameters,
     trivial_component_scene,
     write_corpus,
 )
-from curvesys.errors import InvalidScene
+from curvesys.errors import InvalidClass, InvalidScene
 from curvesys.grids import torus_grid_scene
 from curvesys.sceneio import load_scene, save_scene, scene_from_dict, scene_to_dict
 from curvesys.scene import Edge, Vertex, scenes_isomorphic, validate
@@ -182,19 +182,10 @@ def test_shipped_corpus_matches_fresh_builds(tmp_path):
         assert (tmp_path / rel).read_bytes() == (shipped_root / rel).read_bytes(), rel
 
 
-@pytest.mark.parametrize(
-    "args,err", [(["out", "--bound", "0"], "error: bound"), (["file/out"], "i/o error:")],
-    ids=["bound-0", "out-under-a-file"],
-)
-def test_corpus_main_exits_2_on_bad_input(tmp_path, capsys, args, err):
-    """``python -m curvesys.corpus`` with a bound below 1, or an output
-    directory that cannot be made, prints one error line and exits 2, as the
-    ``curvesys`` commands do, and writes nothing."""
-    (tmp_path / "file").write_text("")
-    assert corpus_main([str(tmp_path / args[0]), *args[1:]]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith(err) and captured.out == ""
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+@pytest.mark.parametrize("bound", [0, True, 1.5])
+def test_grid_corpus_parameters_reject_a_bad_bound(bound):
+    with pytest.raises(InvalidClass):
+        grid_corpus_parameters(bound)
 
 
 def test_load_save_and_resolve_build_no_records(tmp_path, monkeypatch):
