@@ -5,12 +5,13 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import curvesys
-from curvesys import harness
+from curvesys import harness, scene
 from curvesys.cli import main
 from curvesys.corpus import bigon_scene, dt_decompositions
 from curvesys.dtcoords import DTCoords, save_dt
@@ -241,6 +242,44 @@ def test_dt_twist(capsys, g2_files):
 def test_dt_solve(capsys, g2_files):
     code, out = run(capsys, "dt", "solve", g2_files[1], g2_files[0])
     assert code == 0 and out.strip() == "2,0,0"
+
+
+def test_dt_twist_without_k_exits_2(capsys, g2_files):
+    assert main(["dt", "twist", g2_files[0]]) == 2
+    assert capsys.readouterr().err == "dt twist needs --k\n"
+
+
+def test_dt_twist_with_a_non_integer_k_exits_2(capsys, g2_files):
+    with pytest.raises(SystemExit) as info:
+        main(["dt", "twist", g2_files[0], "--k", "1,x"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --k: expected comma-separated integers, got '1,x'\n")
+
+
+def test_dt_solve_without_a_second_file_exits_2(capsys, g2_files):
+    assert main(["dt", "solve", g2_files[0]]) == 2
+    assert capsys.readouterr().err == "dt solve needs a second file\n"
+
+
+def test_verify_prints_the_first_witnesses_of_a_failed_suite(capsys, monkeypatch):
+    # One extra trivial component on every resolved scene: each routed case
+    # fails, and the verify output lists the first five witnesses.
+    def extra_trivial(resolved):
+        return [*scene.trivial_components(resolved), types.SimpleNamespace(curve="x")]
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(harness, "trivial_components", extra_trivial)
+    code, out = run(capsys, "verify", "--suite", "resolution_oracle", "--bound", "1")
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[0].endswith("109 FAILURE(S)") and lines[-1] == "total: 109 failure(s)"
+    routes = [(p, q, *pair) for p, q in ((1, 0), (1, -1), (0, 1)) for pair in ("ab", "ba")]
+    assert lines[1:6] == [
+        f"    no-trivial-components: {{'p': {p}, 'q': {q}, 'r': 1, 's': 1, 'from': '{frm}', "
+        f"'to': '{to}'}} -> 1 trivial vs none"
+        for p, q, frm, to in routes[:5]
+    ]
 
 
 def test_verify_ok(capsys, tmp_path):

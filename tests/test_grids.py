@@ -273,3 +273,16 @@ def test_degenerate_offsets_are_rejected(families):
     """With denominator 1 every offset is 0, so both safety checks fire."""
     assert grids._build(families, 1, 2, "x") is None
     assert _build(families, 1, 2, "x") is None
+
+
+@pytest.mark.parametrize(
+    "families, message",
+    [
+        ([], "need at least one curve family"),
+        ([("a", (1, 0)), ("b", (0, 1)), ("a", (1, 1))], "duplicate curve ids in ['a', 'b', 'a']"),
+    ],
+)
+def test_torus_lines_scene_rejects_bad_families(families, message):
+    with pytest.raises(InvalidScene) as info:
+        torus_lines_scene(families)
+    assert str(info.value) == message

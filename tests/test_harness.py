@@ -1,5 +1,6 @@
 """Verification harness: suite behavior, determinism, fault injection."""
 
+import dataclasses
 import itertools
 import json
 import multiprocessing
@@ -10,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from curvesys import harness, torus
-from curvesys.errors import InvalidBound
+from curvesys import dtcoords, harness, scene as scenes, torus
+from curvesys.dtcoords import DTCoords
+from curvesys.errors import CountMismatch, InvalidBound
 from curvesys.harness import (
     SUITES,
     report_to_dict,
@@ -388,6 +390,196 @@ def test_faulted_suites_report_the_same_through_run_all(monkeypatch):
     same = _without_millis(reports) == _without_millis(in_process)
     assert same, "same counts, but the witnesses differ in content or order"
     assert multiprocessing.active_children() == []
+
+
+# ----------------------------------------------------------------------
+# fault injection on the scene and twist-coordinate suites
+# ----------------------------------------------------------------------
+
+
+def _bad_validate(scene, require_cellular=True):
+    """The true diagnostics, except that the genus reads one higher when
+    F = 2 mod 3, and an odd vertex count adds a face of degree 2."""
+    diag = scenes.validate(scene, require_cellular)
+    genus = diag.genus + 1 if diag.f % 3 == 2 else diag.genus
+    degrees = diag.face_degrees + (2,) if diag.v % 2 else diag.face_degrees
+    return dataclasses.replace(diag, genus=genus, face_degrees=degrees)
+
+
+def _bad_corner_alternation_ok(scene, frm, to):
+    """The true answer, except False at 3 mod 4 crossings."""
+    alternating = scenes.corner_alternation_ok(scene, frm, to)
+    return alternating and scenes.crossing_count(scene, frm, to) % 4 != 3
+
+
+def _bad_crossing_count(scene, a, b):
+    """The true count, one higher when it is 2 mod 3."""
+    n = scenes.crossing_count(scene, a, b)
+    return n + 1 if n % 3 == 2 else n
+
+
+def _bad_find_bigons(scene, a, b):
+    """The true bigons, and one more at 0 mod 3 crossings."""
+    faces = scenes.find_bigons(scene, a, b)
+    return faces + [None] if scenes.crossing_count(scene, a, b) % 3 == 0 else faces
+
+
+def _bad_trivial_components(scene):
+    """The true trivial components, and one more on a curve "x" when the
+    scene has an odd number of components."""
+    found = scenes.trivial_components(scene)
+    odd = len(scenes.components(scene).components) % 2
+    return found + [types.SimpleNamespace(curve="x")] if odd else found
+
+
+# The case count and, per clause, the failure count and first witness of
+# resolution_oracle at bound 2 under the five faults above: every clause but
+# census-matches-product, the corpus controls included.
+_PINNED_ORACLE_FAILURES = (
+    3537,
+    {
+        "grid-cellular-torus": (26, {"p": 2, "q": 1, "r": 2, "s": 2}, "(0, 2)", "(0, 1)"),
+        "crossing-count": (234, {"p": 2, "q": 1, "r": 2, "s": 2}, "3", "2"),
+        "no-trivial-components": (
+            882,
+            {"p": 2, "q": 1, "r": 2, "s": 2, "from": "a", "to": "b"},
+            "1 trivial",
+            "none",
+        ),
+        "bigon-free": (90, {"p": 2, "q": -1, "r": 2, "s": 2}, "bigons", "none"),
+        "grid-all-quads": (21, {"p": 1, "q": 2, "r": 2, "s": 1}, "(4, 4, 4, 2)", "all 4"),
+        "corner-alternation": (
+            6, {"p": 1, "q": 2, "r": 2, "s": 1}, "mixed corners", "alternating"
+        ),
+        "bigon-control-detected": (1, {"scene": "bigon-control"}, "3", "2"),
+        "trivial-control-detected": (
+            1, {"scene": "trivial-component-control"}, "['c', 'x']", "['c']"
+        ),
+        "genus2-pair-shape": (
+            1, {"scene": "genus2-filling-pair"}, "(-2, 3, (8, 8))", "(-2, 2, (8, 8))"
+        ),
+    },
+)
+
+
+def test_faulted_scene_functions_fail_the_pinned_oracle_clauses(monkeypatch):
+    monkeypatch.setattr(harness, "validate", _bad_validate)
+    monkeypatch.setattr(harness, "corner_alternation_ok", _bad_corner_alternation_ok)
+    monkeypatch.setattr(harness, "crossing_count", _bad_crossing_count)
+    monkeypatch.setattr(harness, "find_bigons", _bad_find_bigons)
+    monkeypatch.setattr(harness, "trivial_components", _bad_trivial_components)
+    report = suite_resolution_oracle(2)
+    assert _clause_summary([report]) == {"resolution_oracle": _PINNED_ORACLE_FAILURES}
+    routed = next(f for f in report.failures if f.clause == "no-trivial-components")
+    assert list(routed.inputs) == ["p", "q", "r", "s", "from", "to"]
+
+
+def _bad_twist_multiply(x, k):
+    """The true image, except that the last boundary entry grows by one when
+    the exponents sum to 1 mod 3."""
+    y = dtcoords.twist_multiply(x, k)
+    if y.b and sum(k) % 3 == 1:
+        return DTCoords(y.m, y.t, y.b[:-1] + (y.b[-1] + 1,))
+    return y
+
+
+def _bad_solve_twists(x1, x2):
+    """The differences of the twisting coordinates, without the checks that
+    the intersection data agree, and the last one high by one when x1's last
+    twist is 3 mod 4."""
+    k = tuple(a - b for a, b in zip(x1.t, x2.t))
+    return k[:-1] + (k[-1] + 1,) if k and x1.t[-1] % 4 == 3 else k
+
+
+# As _PINNED_ORACLE_FAILURES: twist_coords(60, 7) under the two faults above.
+_PINNED_COORD_FAILURES = (
+    280,
+    {
+        "round-trip": (
+            10,
+            {
+                "decomposition": "genus2_closed",
+                "trial": 6,
+                "x": "DTCoords(m=(3, 0, 1), t=(-4, 4, -4), b=())",
+                "k": (-4, 0, -1),
+            },
+            "(-4, 0, 0)",
+            "(-4, 0, -1)",
+        ),
+        "twist-commutation": (
+            5,
+            {
+                "decomposition": "one_holed_torus",
+                "trial": 16,
+                "x": "DTCoords(m=(2,), t=(-3,), b=(2,))",
+                "k": (2,),
+                "k2": (4,),
+            },
+            "DTCoords(m=(2,), t=(3,), b=(3,))",
+            "DTCoords(m=(2,), t=(3,), b=(2,))",
+        ),
+        "dehn-twist-is-unit-twist": (
+            8,
+            {
+                "decomposition": "one_holed_torus",
+                "trial": 22,
+                "x": "DTCoords(m=(1,), t=(-5,), b=(4,))",
+                "i": 1,
+            },
+            "DTCoords(m=(1,), t=(-4,), b=(4,))",
+            "DTCoords(m=(1,), t=(-4,), b=(5,))",
+        ),
+        "twist-preserves-m-b": (
+            3,
+            {
+                "decomposition": "one_holed_torus",
+                "trial": 37,
+                "x": "DTCoords(m=(4,), t=(2,), b=(4,))",
+            },
+            "((4,), (5,))",
+            "((4,), (4,))",
+        ),
+        "twist-preserves-validity": (
+            3,
+            {
+                "decomposition": "one_holed_torus",
+                "trial": 37,
+                "x": "DTCoords(m=(4,), t=(2,), b=(4,))",
+                "k": (1,),
+            },
+            "False",
+            "True",
+        ),
+    },
+)
+
+
+def test_faulted_twist_coordinates_fail_the_pinned_clauses(monkeypatch):
+    monkeypatch.setattr(harness, "twist_multiply", _bad_twist_multiply)
+    monkeypatch.setattr(harness, "solve_twists", _bad_solve_twists)
+    report = suite_twist_coords(60, 7)
+    assert _clause_summary([report]) == {"twist_coords": _PINNED_COORD_FAILURES}
+    assert list(report.failures[0].inputs) == ["decomposition", "trial", "x", "k"]
+
+
+class _Stop(BaseException):
+    """Escapes ``except Exception``, so a loop that retries on any error
+    stops at its second call instead of spinning."""
+
+
+def test_twist_coordinate_draws_retry_only_on_a_parity_rejection(monkeypatch):
+    calls = []
+
+    def broken_validate(d, x):
+        calls.append(x)
+        if len(calls) > 1:
+            raise _Stop
+        raise CountMismatch("expected 1 m-entries, got 2")
+
+    monkeypatch.setattr(harness, "validate_coords", broken_validate)
+    with pytest.raises(CountMismatch, match="expected 1 m-entries, got 2"):
+        suite_twist_coords(1)
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ from curvesys.errors import (
     DanglingHalfEdge,
     InvalidChoice,
     InvalidCount,
+    InvalidScene,
     NonAlternatingCrossing,
     NonCellular,
     ParallelSlopes,
@@ -374,6 +375,12 @@ def test_resolve_refuses_bigons_and_unknown():
         resolve(torus_grid_scene(1, 0, 0, 1), "a", "zzz")
 
 
+def test_resolve_refuses_one_curve():
+    with pytest.raises(InvalidScene) as info:
+        resolve(torus_grid_scene(1, 0, 0, 1), "a", "a")
+    assert str(info.value) == "resolve needs two distinct curve ids"
+
+
 def test_resolved_scene_usually_not_cellular():
     resolved = resolve(torus_grid_scene(1, 0, 0, 1), "a", "b")
     with pytest.raises(NonCellular):
@@ -517,6 +524,32 @@ def test_parallel_copies_genus2_triples_crossings():
     validate(out, require_cellular=False)
     assert chi_genus(out) == (-2, 2)
     assert crossing_count(out, "a", "b") == 12
+
+
+def _subdivided(scene, curve_id):
+    """``scene`` with the first edge of ``curve_id`` cut in two at a new plain
+    vertex; the first half keeps the edge's marker and the second reads zero."""
+    edges = list(scene.edges)
+    k = next(i for i, e in enumerate(edges) if e.curve == curve_id)
+    old = edges[k]
+    vid, eid, hid = (x + 1 for x in scene.max_ids())
+    zero = None if old.marker is None else (0, 0)
+    edges[k : k + 1] = [
+        Edge(old.id, (old.half[0], hid), curve_id, old.marker),
+        Edge(eid, (hid + 1, old.half[1]), curve_id, zero),
+    ]
+    return Scene(scene.name, [*scene.vertices, Vertex(vid, (hid, hid + 1))], edges, scene.curves)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("pqrs", [(1, 0, 0, 1), (2, 1, 1, -1), (1, 2, -3, 1), (3, -1, 1, 2)])
+def test_parallel_copies_through_a_plain_vertex(pqrs, n):
+    grid = torus_grid_scene(*pqrs)
+    out = parallel_copies(_subdivided(grid, "a"), "a", n)
+    assert validate(out).genus == 1
+    assert crossing_count(out, "a", "b") == n * crossing_count(grid, "a", "b")
+    plain = parallel_copies(grid, "a", n)
+    assert census_classes(resolve(out, "a", "b")) == census_classes(resolve(plain, "a", "b"))
 
 
 def test_parallel_copies_errors():
