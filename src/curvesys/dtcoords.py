@@ -1,8 +1,8 @@
 """Pants decompositions and twist coordinates for curve systems.
 
 A decomposition is a list of 3-holed spheres ("pants") with slots 0..2, plus a
-pairing of slots.  Each pair is an internal curve; unpaired slots are boundary
-components of the surface.  A curve system is coordinatized by m_i (its
+pairing of slots that glues them into one connected surface.  Each pair is an
+internal curve; unpaired slots are boundary components of the surface.  A curve system is coordinatized by m_i (its
 intersection with internal curve i), t_i (the twisting about curve i) and b_j
 (its intersection with boundary component j).
 
@@ -101,39 +101,28 @@ class DTCoords:
 
 
 def validate_decomposition(d: PantsDecomposition) -> DecompositionShape:
-    """Check slot pairing and the pants/curve/boundary count identities."""
+    """Check the slot pairing and that the pants glue into one connected
+    surface.  P pants glued along C curves leave B = 3P - 2C boundary
+    components, and chi = -P = 2 - 2g - B gives the genus g = 1 - P + C."""
     if len(set(d.pants)) != len(d.pants):
         raise CountMismatch("duplicate pants ids")
-    known = set(d.pants)
+    group = {p: {p} for p in d.pants}  # the pants glued to each, so far
     seen: set = set()
     for a, b in d.gluing:
         for slot in (a, b):
-            if slot[0] not in known:
+            if slot[0] not in group:
                 raise CountMismatch(f"slot {format_slot(slot)} names unknown pants")
             if slot[1] not in (0, 1, 2):
                 raise CountMismatch(f"slot index out of range in {format_slot(slot)}")
             if slot in seen:
                 raise SlotReuse(f"slot {format_slot(slot)} glued twice")
             seen.add(slot)
-        if a == b:
-            raise SlotReuse(f"slot {format_slot(a)} glued to itself")
-    p = len(d.pants)
-    c = len(d.gluing)
-    boundary = 3 * p - 2 * c
-    if boundary < 0:
-        raise CountMismatch(f"{c} curves exceed the {3 * p} available slots")
-    # chi = -P for a union of pants, so 2 - 2g - boundary = -P.
-    if (2 + p - boundary) % 2 != 0:
-        raise CountMismatch(f"P={p}, B={boundary} do not close up to an integer genus")
-    genus = (2 + p - boundary) // 2
-    if genus < 0:
-        raise CountMismatch(f"P={p}, B={boundary} give negative genus")
-    if c != 3 * genus + boundary - 3:
-        raise CountMismatch(
-            f"C={c} but a genus-{genus} surface with {boundary} boundary "
-            f"components needs {3 * genus + boundary - 3} pants curves"
-        )
-    return DecompositionShape(genus=genus, boundary=boundary, curves=c)
+        joined = group[a[0]] | group[b[0]]
+        group.update(dict.fromkeys(joined, joined))
+    if not d.pants or len(group[d.pants[0]]) != len(d.pants):
+        raise CountMismatch("the pants do not glue into one connected surface")
+    p, c = len(d.pants), len(d.gluing)
+    return DecompositionShape(genus=1 - p + c, boundary=3 * p - 2 * c, curves=c)
 
 
 def _slot_values(d: PantsDecomposition, x: DTCoords) -> Dict[Slot, int]:

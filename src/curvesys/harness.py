@@ -56,7 +56,7 @@ from .dtcoords import (
     twist_multiply,
     validate_coords,
 )
-from .errors import InvalidBound, ParityViolation, WorkerDied
+from .errors import DTError, InvalidBound, ParityViolation, WorkerDied
 from .grids import torus_grid_scene
 from .scene import (
     components,
@@ -445,13 +445,10 @@ def _oracle_slices(cases: Sequence[_OracleCase], n: int) -> List[Tuple[int, int]
     return list(zip(cuts, cuts[1:]))
 
 
-# (start, stop) of the cases suite_resolution_oracle checks while _run_suite
-# runs one slice of it; None, all of them, at any other time.
-_oracle_slice: Optional[Tuple[int, int]] = None
-
-
 @_timed
-def suite_resolution_oracle(bound: int = 4, convention: str = "after") -> SuiteReport:
+def suite_resolution_oracle(
+    bound: int = 4, convention: str = "after", *, cut: Optional[Tuple[int, int]] = None
+) -> SuiteReport:
     """Grid scenes versus the torus product.
 
     Scenes are built once per unordered pair of canonical classes; flipping
@@ -462,8 +459,10 @@ def suite_resolution_oracle(bound: int = 4, convention: str = "after") -> SuiteR
     injection: running the suite with the mirrored smoothing convention must
     fail at the (1,0),(0,1) pin.
 
-    In a slice worker of :func:`run_all` it checks that worker's slice of
-    the cases, and the corpus controls only if the slice is the last.
+    ``cut=(start, stop)`` checks only ``cases[start:stop]`` of the grid
+    cases, and the corpus controls only when ``stop`` is the last case's end;
+    :func:`run_all` gives each slice worker its cut.  The report's ``params``
+    leave ``cut`` out, so the folded slices equal the whole report.
     """
     _require_bound(bound, "bound")
     rep = SuiteReport(
@@ -475,7 +474,7 @@ def suite_resolution_oracle(bound: int = 4, convention: str = "after") -> SuiteR
         },
     )
     cases = _oracle_cases(bound)
-    start, stop = _oracle_slice or (0, len(cases))
+    start, stop = cut or (0, len(cases))
     for p, q, r, s, deep in cases[start:stop]:
         _check_oracle_case(rep, p, q, r, s, deep, convention)
     if stop == len(cases):
@@ -567,7 +566,10 @@ def suite_twist_coords(trials: int = 1000, seed: int = 7) -> SuiteReport:
             validate_coords(d, y)
         except Exception:  # noqa: BLE001 - failure as data
             fail("twist-preserves-validity", False, True, x=repr(x), k=k)
-        back = solve_twists(y, x)
+        try:
+            back = solve_twists(y, x)
+        except DTError as exc:  # y left x's class: failure as data
+            back = f"{type(exc).__name__}: {exc}"
         if back != k:
             fail("round-trip", back, k, x=repr(x), k=k)
         k2 = _random_twists(rng, x)
@@ -611,14 +613,14 @@ def _random_twists(rng: random.Random, x: DTCoords) -> Tuple[int, ...]:
 # Aggregation
 # ======================================================================
 
-SUITES: Dict[str, Callable[..., SuiteReport]] = {
-    "product_laws": suite_product_laws,
-    "convexity": suite_convexity,
-    "twist_dynamics": suite_twist_dynamics,
-    "twist_bounds": suite_twist_bounds,
-    "resolution_oracle": suite_resolution_oracle,
-    "twist_coords": suite_twist_coords,
-}
+SUITES = (
+    "product_laws",
+    "convexity",
+    "twist_dynamics",
+    "twist_bounds",
+    "resolution_oracle",
+    "twist_coords",
+)
 
 
 def run_all(
@@ -642,16 +644,17 @@ def run_all(
     With two or more usable CPUs (the process's affinity set, else
     ``os.cpu_count()``) and ``fork``, the CPUs that the other selected suites
     leave free, at least one, go to ``resolution_oracle``: its grid cases are
-    cut into that many contiguous slices of about equal crossing count, the
-    corpus controls in the last.  When that makes two or more tasks (suites
-    and slices), each runs in a forked worker, min(tasks, CPUs) of them, and
-    the slices fold back into one report.  Otherwise the suites run
-    in-process one after another.  CPU affinity is the only control: pin the
-    process to one CPU to run serially.  Reports are the same either way
-    apart from ``millis``: each suite's own wall time in the process that ran
-    it, and for a sliced suite the sum of its slices' times.  An invalid
-    ``bound`` leaves the oracle whole, so it raises where it does in-process.
-    A worker that dies raises ``WorkerDied``.
+    cut into that many contiguous slices of about equal crossing count, each
+    passed to the suite as ``cut=(start, stop)``, the corpus controls in the
+    last.  When that makes two or more tasks (suites and slices), each runs
+    in a forked worker, min(tasks, CPUs) of them, and the slices fold back
+    into one report.  Otherwise the suites run in-process one after another.
+    CPU affinity is the only control: pin the process to one CPU to run
+    serially.  Reports are the same either way apart from ``millis``: each
+    suite's own wall time in the process that ran it, and for a sliced suite
+    the sum of its slices' times.  An invalid ``bound`` leaves the oracle
+    whole, so it raises where it does in-process.  A worker that dies raises
+    ``WorkerDied``.
     """
     if conv_bound is None:
         conv_bound = min(bound, 3)
@@ -706,17 +709,12 @@ def run_all(
 
 
 def _run_suite(
-    name: str, args: Tuple[Any, ...], oracle_slice: Optional[Tuple[int, int]] = None
+    name: str, args: Tuple[Any, ...], cut: Optional[Tuple[int, int]] = None
 ) -> SuiteReport:
     # Looked up at call time, so a patched or traced suite_* name is the one
-    # that runs, in-process or in a forked worker, which inherits it.  A slice
-    # of resolution_oracle goes through that name too, so it is set here.
-    global _oracle_slice
-    _oracle_slice = oracle_slice
-    try:
-        return globals()[f"suite_{name}"](*args)
-    finally:
-        _oracle_slice = None
+    # that runs, in-process or in a forked worker, which inherits it.
+    suite = globals()[f"suite_{name}"]
+    return suite(*args) if cut is None else suite(*args, cut=cut)
 
 
 def _usable_cpus() -> int:

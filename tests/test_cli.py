@@ -317,6 +317,13 @@ def test_verify_bad_bound(capsys):
     assert main(["verify", "--bound", "0"]) == 2
 
 
+def test_verify_bad_range_exits_2(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--range", "3"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --range: expected 'a..b', got '3'\n")
+
+
 def test_verify_bad_parameter_in_a_worker_exits_2(capsys, monkeypatch):
     # Two suites and two CPUs: twist_coords raises in its worker.
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)

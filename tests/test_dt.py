@@ -71,6 +71,42 @@ def test_unknown_pants_rejected():
         validate_decomposition(d)
 
 
+@pytest.mark.parametrize(
+    "index, error, message",
+    [(0, SlotReuse, r"slot P\.0 glued twice"), (3, CountMismatch, r"out of range in P\.3")],
+    ids=["glued-to-itself", "index-3"],
+)
+def test_bad_second_slot_rejected(index, error, message):
+    d = PantsDecomposition(pants=("P",), gluing=((("P", 0), ("P", index)),))
+    with pytest.raises(error, match=message):
+        validate_decomposition(d)
+
+
+_DISCONNECTED = "the pants do not glue into one connected surface"
+
+
+@pytest.mark.parametrize(
+    "pants, gluing",
+    [
+        ((), ()),
+        (("P", "Q"), ()),
+        (("P", "Q", "R"), ((("P", 0), ("Q", 0)), (("P", 1), ("Q", 1)))),
+    ],
+    ids=["empty", "two-unglued-pants", "glued-pair-and-a-lone-pants"],
+)
+def test_decomposition_must_be_connected(pants, gluing):
+    with pytest.raises(CountMismatch, match=_DISCONNECTED):
+        validate_decomposition(PantsDecomposition(pants, gluing))
+
+
+def test_dt_validate_rejects_an_empty_decomposition(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"pants": [], "gluing": [], "m": [], "t": [], "b": []}))
+    assert main(["dt", "validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {_DISCONNECTED}\n"
+
+
 # ----------------------------------------------------------------------
 # coordinate validation
 # ----------------------------------------------------------------------
@@ -97,6 +133,14 @@ def test_boundary_parity():
     validate_coords(TORUS1, DTCoords(m=(1,), t=(4,), b=(2,)))
     with pytest.raises(ParityViolation):
         validate_coords(TORUS1, DTCoords(m=(1,), t=(0,), b=(1,)))
+
+
+def test_dt_validate_rejects_a_negative_b(tmp_path, capsys):
+    d, x = dt_decompositions()["one_holed_torus"]
+    path = tmp_path / "negative_b.json"
+    save_dt(d, DTCoords(x.m, x.t, (-2,)), path)
+    assert main(["dt", "validate", str(path)]) == 2
+    assert capsys.readouterr().err == "error: intersection coordinates must be non-negative\n"
 
 
 def test_wrong_lengths():

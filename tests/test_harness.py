@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from curvesys import dtcoords, harness, scene as scenes, torus
+from curvesys.cli import main
 from curvesys.dtcoords import DTCoords
 from curvesys.errors import CountMismatch, InvalidBound
 from curvesys.harness import (
@@ -562,6 +563,25 @@ def test_faulted_twist_coordinates_fail_the_pinned_clauses(monkeypatch):
     assert list(report.failures[0].inputs) == ["decomposition", "trial", "x", "k"]
 
 
+def test_a_refused_round_trip_is_a_failure_not_an_error(monkeypatch, capsys):
+    """With only twist_multiply faulted, solve_twists refuses the image whose
+    b moved; the suite records that refusal as a round-trip failure, and
+    verify exits 1 instead of 2."""
+    monkeypatch.setattr(harness, "twist_multiply", _bad_twist_multiply)
+    report = suite_twist_coords(60, 7)
+    moved, refused = (
+        next(f for f in report.failures if f.clause == clause)
+        for clause in ("twist-preserves-m-b", "round-trip")
+    )
+    assert moved.inputs["trial"] == refused.inputs["trial"] == 37
+    assert refused.lhs == (
+        "IntersectionMismatch: intersection data differ: m (4,) vs (4,), b (5,) vs (4,)"
+    )
+    assert refused.rhs == "(1,)"
+    assert main(["verify", "--suite", "twist_coords", "--trials", "60"]) == 1
+    assert capsys.readouterr().out.endswith("total: 22 failure(s)\n")
+
+
 class _Stop(BaseException):
     """Escapes ``except Exception``, so a loop that retries on any error
     stops at its second call instead of spinning."""
@@ -667,6 +687,13 @@ def test_only_the_last_oracle_slice_checks_the_controls():
     want[-1] += 3
     assert got == want
     assert sum(got) == suite_resolution_oracle(2).cases
+
+
+def test_an_oracle_cut_checks_its_cases_and_leaves_the_params_alone():
+    whole = suite_resolution_oracle(2)
+    first = suite_resolution_oracle(2, cut=(0, 1))
+    assert first.params == whole.params
+    assert first.cases == 9  # one deep case and no corpus controls
 
 
 def test_a_sliced_suite_reports_the_sum_of_its_slice_times(monkeypatch):

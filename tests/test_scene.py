@@ -335,6 +335,13 @@ def test_resolve_disjoint_curves_is_relabel():
     assert chi_genus(out) == (0, 1)
 
 
+def test_resolve_names_the_merged_curve_with_the_first_free_suffix():
+    scene = torus_lines_scene([("a", (1, 0)), ("b", (0, 1)), ("a*b", (1, 1)), ("a*b2", (1, -1))])
+    out = resolve(scene, "a", "b")
+    assert sorted(c.id for c in out.curves) == ["a*b", "a*b2", "a*b3"]
+    assert census_classes(out, "a*b3") == {normalize(1, 1): 1}
+
+
 def test_resolve_keeps_third_curve_crossings():
     """Resolving a pair leaves its crossings with other curves in place.
 

@@ -62,6 +62,14 @@ def test_malformed_file_rejected():
         scene_from_dict({"name": "x", "vertices": [{"id": "??"}], "edges": [], "curves": []})
 
 
+@pytest.mark.parametrize("table, what", [("vertices", "vertex"), ("edges", "edge")])
+def test_duplicate_ids_rejected(table, what):
+    d = scene_to_dict(torus_grid_scene(1, 0, 0, 2))
+    d[table][1]["id"] = d[table][0]["id"]
+    with pytest.raises(InvalidScene, match=f"^duplicate {what} ids$"):
+        scene_from_dict(d)
+
+
 @pytest.mark.parametrize("marker", [[1], [1, 0, 5], [], 7])
 def test_marker_needs_exactly_two_entries(marker):
     d = scene_to_dict(torus_grid_scene(1, 0, 0, 1))
