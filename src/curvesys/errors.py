@@ -12,7 +12,8 @@ class InvalidChoice(CurveSysError, ValueError):
 # ---- torus algebra ----
 
 class InvalidClass(CurveSysError, ValueError):
-    """A torus class was built from the zero vector (or non-integers)."""
+    """A torus class was built from the zero vector or non-integers, or
+    enumerate_classes was given a bound that is not an integer >= 1."""
 
 
 class InvalidExponent(CurveSysError, ValueError):
@@ -72,7 +73,7 @@ class SelfCrossingCurve(SceneError):
 
 
 class InvalidCount(CurveSysError, ValueError):
-    """A count argument (number of copies, bound, ...) must be positive."""
+    """parallel_copies needs a positive integer number of copies."""
 
 
 class ParallelSlopes(SceneError, ValueError):
@@ -90,7 +91,10 @@ class SlotReuse(DTError):
 
 
 class CountMismatch(DTError):
-    """Pants/curve/boundary counts are inconsistent with a closed surface."""
+    """Malformed pants data or coordinates: a bad slot address, duplicate or
+    unknown pants, pants that do not glue into one connected surface, entry
+    counts that do not fit the decomposition, negative intersection
+    coordinates, bad twist exponents, or an unreadable coordinate file."""
 
 
 class ParityViolation(DTError):
@@ -120,7 +124,8 @@ class MissedCurveTwistMismatch(DTError):
 # ---- harness ----
 
 class InvalidBound(CurveSysError, ValueError):
-    """Verification suites need positive enumeration bounds."""
+    """A bound, trial count or range that is not an integer in range (suite
+    bounds, a convexity profile's n range), or an unknown suite name."""
 
 
 class WorkerDied(CurveSysError):

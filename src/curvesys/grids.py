@@ -32,7 +32,7 @@ from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvalidScene, ParallelSlopes
-from .scene import Curve, Scene, _checked_index, _indexed
+from .scene import _INT, _SEQ, Curve, Scene, _checked_index, _indexed, _int_rows
 
 __all__ = ["torus_grid_scene", "torus_lines_scene"]
 
@@ -54,6 +54,9 @@ def torus_grid_scene(p: int, q: int, r: int, s: int) -> Scene:
     rejected: a two-curve scene of parallel classes is not cellular on the
     torus (build it inside an ambient scene, e.g. with parallel_copies).
     """
+    if not _INT.issuperset(map(type, (p, q, r, s))):  # bool is not int
+        bad = next(x for x in (p, q, r, s) if type(x) is not int)
+        raise InvalidScene(f"grid vector entries must be integers, got {bad!r}")
     if (p, q) == (0, 0) or (r, s) == (0, 0):
         raise InvalidScene("grid vectors must be nonzero")
     if p * s - q * r == 0:
@@ -70,14 +73,28 @@ def torus_lines_scene(
 ) -> Scene:
     """Scene of several straight-line families on the flat torus.
 
-    ``families`` maps curve ids to (possibly non-primitive) vectors; parallel
-    families simply do not cross.  At least one pair of families must be
-    non-parallel (otherwise nothing is cellular and there is nothing to hang
-    the complement on) unless the scene has a single family, which is permitted
-    for building blocks of larger scenes.
+    ``families`` is a list of (curve id, vector) pairs, each a list or tuple,
+    mapping string curve ids to (possibly non-primitive) vectors of two exact
+    ints; anything else, or a name that is not a string, raises InvalidScene
+    before any geometry.  Parallel families simply do not cross.  At least
+    one pair of families must be non-parallel (otherwise nothing is cellular
+    and there is nothing to hang the complement on) unless the scene has a
+    single family, which is permitted for building blocks of larger scenes.
     """
+    if type(families) not in _SEQ:
+        raise InvalidScene(f"curve families must be a list of (id, vector) pairs, got {families!r}")
     if not families:
         raise InvalidScene("need at least one curve family")
+    for fam in families:
+        if type(fam) not in _SEQ or len(fam) != 2:
+            raise InvalidScene(f"a curve family must be an (id, vector) pair, got {fam!r}")
+        cid, vec = fam
+        if type(cid) is not str:
+            raise InvalidScene(f"curve family ids must be strings, got {cid!r}")
+        if _int_rows((vec,), 2) is None:
+            raise InvalidScene(f"family {cid!r} vector must be a pair of integers, got {vec!r}")
+    if name is not None and type(name) is not str:
+        raise InvalidScene(f"the scene name must be a string, got {name!r}")
     ids = [cid for cid, _ in families]
     if len(set(ids)) != len(ids):
         raise InvalidScene(f"duplicate curve ids in {ids}")

@@ -10,22 +10,21 @@ h -> sigma(alpha(h)), graph components are the orbits of <sigma, alpha>, and a
 connected rotation system encodes a cellular embedding in the closed oriented
 surface of genus (2 - V + E - F) / 2.
 
-Every scene has one checked dart index (edge k owns darts 2k and 2k + 1, so
-alpha is p ^ 1), and one constructor builds it from columns: vertex ids,
-vertex cycles as half-edge ids, edge ids, edge halves, curve labels, markers
-and the curve records.  It maps half-edge ids to darts and checks integer
-ids, half-edges and markers, string curve ids and labels, half-edge
-bookkeeping, vertex degrees 2 or 4, alternating crossings and expected
-component counts, raising a SceneError on the first violation.  Every scene
-is checked when it is built: ``Scene(...)`` checks its name is a string and
-feeds it its records' columns, and the file loader and the grid
-constructors hand it theirs (for a grid each half-edge id is its dart), so no
-scene exists that failed the check.  ``resolve`` derives its output's index
-from the input's checked one by a local rewrite of sigma, degrees and the
-per-vertex columns.  Records are built from an index only when they are read,
-and the file writer reads the index.  Faces, strand components and
-graph-component orbits are derived from the index at most once per scene and
-kept on it.
+Every scene is one checked dart index (edge k owns darts 2k and 2k + 1, so
+alpha is p ^ 1), built by one constructor from columns: vertex ids, vertex
+cycles as half-edge ids, edge ids, edge halves, curve labels, markers and the
+curve records.  It maps half-edge ids to darts and checks integer ids,
+half-edges and markers, string curve ids and labels, half-edge bookkeeping,
+vertex degrees 2 or 4, alternating crossings and expected component counts,
+raising a SceneError on the first violation.  ``Scene(...)`` checks that its
+name is a string, feeds the constructor its records' columns and keeps none
+of the records; the file loader and the grid constructors hand it theirs (for
+a grid each half-edge id is its dart), and ``resolve`` derives its output's
+index from the input's by a local rewrite of sigma, degrees and the
+per-vertex columns.  One reader gives the columns back: the Vertex and Edge
+records, built when first read, and the file writer both use it.  Faces,
+strand components and graph-component orbits are derived from the index at
+most once per scene and kept on it.
 
 Cellularity is stricter, and only ``validate`` demands it: the scene must be
 connected (one graph component, so not empty), and a scene carrying homology
@@ -105,12 +104,13 @@ class Curve:
 
 
 class Scene:
-    """An immutable rotation system with curve-labelled edges, checked when
-    it is built: the name must be a string, and the constructor indexes its
-    records' columns with the one checked constructor and raises a SceneError
-    on the first violation, so every scene can be saved and loaded again.
-    The loader, the grid constructors and ``resolve`` hand over a checked
-    index instead and build the records only when they are first read.
+    """An immutable rotation system with curve-labelled edges, held as one
+    checked dart index.  ``Scene(...)`` checks that the name is a string and
+    indexes its records' columns with the one checked constructor, raising a
+    SceneError on the first violation, and keeps none of the Vertex or Edge
+    records given; the loader, the grid constructors and ``resolve`` hand over
+    a checked index.  ``vertices`` and ``edges`` are built from the index when
+    first read, so a scene's file loads back to equal records.
     :func:`validate` adds the Euler bookkeeping and cellularity.
     """
 
@@ -126,10 +126,7 @@ class Scene:
         if type(name) is not str:
             raise InvalidScene(f"the scene name must be a string, got {name!r}")
         vs, es = tuple(vertices), tuple(edges)
-        self.name = name
-        self.curves: Tuple[Curve, ...] = tuple(curves)
-        # The records, or None until read on a scene made from an index.
-        self._parts: Optional[Tuple[Tuple[Vertex, ...], ...]] = (vs, es)
+        self.name, self.curves, self._parts = name, tuple(curves), None  # records: built when read
         self._index: _Index = _checked_index(
             [v.id for v in vs], [v.cycle for v in vs], [e.id for e in es], [e.half for e in es],
             [e.curve for e in es], [e.marker for e in es], self.curves,
@@ -375,20 +372,22 @@ def _link_cycles(
     return nxt, deg, first
 
 
-def _cycles(ix: _Index) -> Iterable[Tuple[int, ...]]:
-    """Each vertex's half-edge ids, counterclockwise from its first dart."""
+def _columns(ix: _Index) -> Tuple[list, ...]:
+    """The six columns that :func:`_checked_index` takes, read back: vertex
+    ids, cycles (half-edge ids, ccw), edge ids, halves, curves and markers."""
     nxt, deg, hid = ix.nxt, ix.deg, ix.hid
+    cycles = []
     for p in ix.first:
         q = nxt[p]
-        yield (hid[p], hid[q]) if deg[p] == 2 else (hid[p], hid[q], hid[nxt[q]], hid[nxt[nxt[q]]])
+        r = nxt[q]
+        cycles.append((hid[p], hid[q]) if deg[p] == 2 else (hid[p], hid[q], hid[r], hid[nxt[r]]))
+    return ix.vid, cycles, ix.eid, list(zip(hid[::2], hid[1::2])), ix.curve, ix.marker
 
 
 def _records(ix: _Index) -> Tuple[Tuple[Vertex, ...], Tuple[Edge, ...]]:
     """The vertex and edge records of a checked index, in its order."""
-    hid = ix.hid
-    vertices = tuple(map(Vertex, ix.vid, _cycles(ix)))
-    edges = tuple(map(Edge, ix.eid, zip(hid[::2], hid[1::2]), ix.curve, ix.marker))
-    return vertices, edges
+    vid, cycles, eid, halves, curve, marker = _columns(ix)
+    return tuple(map(Vertex, vid, cycles)), tuple(map(Edge, eid, halves, curve, marker))
 
 
 def _require(scene: Scene, *curve_ids: str) -> _Index:

@@ -14,9 +14,9 @@ half-edges and marker entries plain JSON integers, and the name, curve ids and
 edge curve labels JSON strings; anything else is rejected.  The loader hands
 the tables as columns to the scene's checked constructor, so a file that is
 not a valid rotation system raises its SceneError at load (the command line
-exits 2, as before); the writer reads the checked index.  Neither builds
-Vertex or Edge records.  load(save(s)) preserves all ids verbatim.  Expected
-component counts are constructor-side metadata and are not serialized.
+exits 2, as before); the writer reads the index's columns with the reader
+that builds records, and neither builds one.  load(save(s)) has records equal
+to s's, ids verbatim; expected component counts are not serialized.
 """
 
 from __future__ import annotations
@@ -26,23 +26,22 @@ from pathlib import Path
 from typing import Any, Dict, Union
 
 from .errors import InvalidScene
-from .scene import Curve, Scene, _checked_index, _cycles, _indexed
+from .scene import Curve, Scene, _checked_index, _columns, _indexed
 
 __all__ = ["scene_to_dict", "scene_from_dict", "save_scene", "load_scene"]
 
 
 def scene_to_dict(scene: Scene) -> Dict[str, Any]:
-    ix = scene._index
-    hid = ix.hid
+    vid, cycles, eid, halves, curve, marker = _columns(scene._index)
     edges = []
-    for i, a, b, c, m in zip(ix.eid, hid[::2], hid[1::2], ix.curve, ix.marker):
+    for i, (a, b), c, m in zip(eid, halves, curve, marker):
         rec: Dict[str, Any] = {"id": i, "half": [a, b], "curve": c}
         if m is not None:
-            rec["marker"] = list(m)
+            rec["marker"] = [*m]
         edges.append(rec)
     return {
         "name": scene.name,
-        "vertices": [{"id": v, "halfedges_ccw": list(c)} for v, c in zip(ix.vid, _cycles(ix))],
+        "vertices": [{"id": v, "halfedges_ccw": [*c]} for v, c in zip(vid, cycles)],
         "edges": edges,
         "curves": [{"id": c.id} for c in scene.curves],
     }

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvesys import grids
-from curvesys.errors import CurveSysError, InvalidScene
+from curvesys.errors import CurveSysError, InvalidScene, ParallelSlopes
 from curvesys.grids import torus_grid_scene, torus_lines_scene
 from curvesys.scene import Curve, Edge, Scene, Vertex
 from curvesys.sceneio import scene_to_dict
@@ -280,9 +280,53 @@ def test_degenerate_offsets_are_rejected(families):
     [
         ([], "need at least one curve family"),
         ([("a", (1, 0)), ("b", (0, 1)), ("a", (1, 1))], "duplicate curve ids in ['a', 'b', 'a']"),
+        (
+            [("a", (1, 0, 5)), ("b", (0, 1))],
+            "family 'a' vector must be a pair of integers, got (1, 0, 5)",
+        ),
+        ([("a", 5)], "family 'a' vector must be a pair of integers, got 5"),
+        ("ab", "curve families must be a list of (id, vector) pairs, got 'ab'"),
+        ([(["a"], (1, 0)), ("b", (0, 1))], "curve family ids must be strings, got ['a']"),
+        (
+            [("a", (True, 0)), ("b", (0, 1))],
+            "family 'a' vector must be a pair of integers, got (True, 0)",
+        ),
+        ([("a", (1, 0)), "b"], "a curve family must be an (id, vector) pair, got 'b'"),
+        ([("a", (0, 0))], "family 'a' has the zero vector"),
     ],
 )
 def test_torus_lines_scene_rejects_bad_families(families, message):
     with pytest.raises(InvalidScene) as info:
         torus_lines_scene(families)
     assert str(info.value) == message
+
+
+def test_torus_lines_scene_rejects_a_name_that_is_not_a_string():
+    with pytest.raises(InvalidScene) as info:
+        torus_lines_scene([("a", (1, 0)), ("b", (0, 1))], name=5)
+    assert str(info.value) == "the scene name must be a string, got 5"
+
+
+def test_torus_lines_scene_takes_list_pairs():
+    listed = torus_lines_scene([["a", [2, 1]], ["b", [0, 1]]])
+    assert scene_to_dict(listed) == scene_to_dict(torus_lines_scene([("a", (2, 1)), ("b", (0, 1))]))
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        ((True, 0, 0, True), InvalidScene, "grid vector entries must be integers, got True"),
+        ((1.0, 0, 0, 1), InvalidScene, "grid vector entries must be integers, got 1.0"),
+        (("1", 0, 0, 1), InvalidScene, "grid vector entries must be integers, got '1'"),
+        ((0, 0, 0, 1), InvalidScene, "grid vectors must be nonzero"),
+        (
+            (1, 2, 2, 4),
+            ParallelSlopes,
+            "vectors (1,2) and (2,4) are parallel; the grid would not be cellular",
+        ),
+    ],
+)
+def test_torus_grid_scene_rejects_bad_vectors(args, error, message):
+    with pytest.raises(error) as info:
+        torus_grid_scene(*args)
+    assert type(info.value) is error and str(info.value) == message

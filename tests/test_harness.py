@@ -14,7 +14,7 @@ import pytest
 from curvesys import dtcoords, harness, scene as scenes, torus
 from curvesys.cli import main
 from curvesys.dtcoords import DTCoords
-from curvesys.errors import CountMismatch, InvalidBound
+from curvesys.errors import CountMismatch, InvalidBound, ParityViolation
 from curvesys.harness import (
     SUITES,
     report_to_dict,
@@ -600,6 +600,26 @@ def test_twist_coordinate_draws_retry_only_on_a_parity_rejection(monkeypatch):
     with pytest.raises(CountMismatch, match="expected 1 m-entries, got 2"):
         suite_twist_coords(1)
     assert len(calls) == 1
+
+
+def test_a_trial_without_a_valid_draw_fails_and_the_suite_goes_on(monkeypatch, capsys):
+    """When every draw breaks the parity rule, each trial gives up after
+    ``_MAX_DRAWS`` draws and records one ``valid-draw`` failure."""
+    calls = []
+
+    def rejecting_validate(d, x):
+        calls.append(x)
+        raise ParityViolation("odd")
+
+    monkeypatch.setattr(harness, "validate_coords", rejecting_validate)
+    report = suite_twist_coords(3)
+    assert report.cases == 3 and len(calls) == 3 * harness._MAX_DRAWS == 192
+    assert [(f.clause, f.inputs, f.lhs, f.rhs) for f in report.failures] == [
+        ("valid-draw", {"decomposition": name, "trial": trial}, "64 rejected draws", "a valid draw")
+        for trial, name in enumerate(["genus2_closed", "one_holed_torus", "pair_of_pants"])
+    ]
+    assert main(["verify", "--suite", "twist_coords", "--trials", "3"]) == 1
+    assert capsys.readouterr().out.endswith("total: 3 failure(s)\n")
 
 
 # ----------------------------------------------------------------------

@@ -47,7 +47,7 @@ from curvesys.scene import (
     trivial_components,
     validate,
 )
-from curvesys.sceneio import load_scene, save_scene, scene_to_dict
+from curvesys.sceneio import load_scene, save_scene, scene_from_dict, scene_to_dict
 from curvesys.torus import intersection, multiply, normalize, signed_power_multiply
 
 
@@ -1367,6 +1367,54 @@ def test_grid_records_are_built_only_when_read(monkeypatch):
     vertices, edges = grid.vertices, grid.edges
     assert built == [grid._index]
     assert grid.vertices is vertices and grid.edges is edges and len(built) == 1
+
+
+def test_no_scene_keeps_records_when_it_is_built():
+    grid = torus_grid_scene(2, 1, -1, 2)
+    scenes = [
+        grid,
+        resolve(grid, "a", "b"),
+        scene_from_dict(scene_to_dict(grid)),
+        parallel_copies(grid, "a", 2),
+    ]
+    assert [scene._parts for scene in scenes] == [None] * len(scenes)
+    copy = Scene(grid.name, grid.vertices, grid.edges, grid.curves)
+    assert copy._parts is None
+    assert copy.vertices is not grid.vertices and copy.vertices == grid.vertices
+
+
+def test_a_scene_keeps_none_of_its_callers_lists():
+    """Records given with list-valued cycles, halves and markers read back as
+    hashable tuples equal to those of the scene's file, and changing the
+    caller's lists afterwards changes neither the records nor the file."""
+    grid = torus_grid_scene(2, 1, -1, 2)
+    d = scene_to_dict(grid)
+    vertices = [Vertex(v["id"], v["halfedges_ccw"]) for v in d["vertices"]]
+    edges = [Edge(e["id"], e["half"], e["curve"], e["marker"]) for e in d["edges"]]
+    scene = Scene(grid.name, vertices, edges, grid.curves)
+    saved = scene_to_dict(scene)
+    loaded = scene_from_dict(saved)
+    assert {*scene.vertices, *scene.edges}  # hashable
+    assert (scene.vertices, scene.edges) == (loaded.vertices, loaded.edges)
+    assert (scene.vertices, scene.edges) == (grid.vertices, grid.edges)
+    for v in vertices:
+        v.cycle.reverse()
+    for e in edges:
+        e.half.reverse()
+        e.marker[0] += 1
+    assert (scene.vertices, scene.edges) == (grid.vertices, grid.edges)
+    assert scene_to_dict(scene) == saved == scene_to_dict(grid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_random_rotation_systems(), _mutated_grids()))
+def test_records_and_canonical_form_survive_the_file_round_trip(build):
+    scene = _built(build)
+    if scene is None:
+        return
+    loaded = scene_from_dict(scene_to_dict(scene))
+    assert (loaded.vertices, loaded.edges) == (scene.vertices, scene.edges)
+    assert canonical_form(loaded) == canonical_form(scene)
 
 
 def _lines_or_grid(families):
