@@ -5,7 +5,7 @@ Subcommands mirror the library layers::
     curvesys torus mul 1,0 0,1
     curvesys torus int 2,1 1,1
     curvesys torus twist --along 1,0 --on 0,1 [--neg]
-    curvesys torus profile --alpha 1,0 --beta 0,1 --gamma 1,2 --range -2..2
+    curvesys torus profile --alpha 1,0 --beta 0,1 --gamma 1,2 --range=-2..2
     curvesys scene validate|faces|resolve|census|bigons FILE [--from A --to B]
     curvesys dt validate FILE
     curvesys dt twist FILE --k 2,0,0

@@ -992,8 +992,25 @@ def _encode_rows(
 
 
 def scenes_isomorphic(a: Scene, b: Scene) -> bool:
-    """Isomorphism of labelled rotation systems (markers included)."""
+    """Isomorphism of labelled rotation systems (markers included).  Scenes
+    of equal size whose strand censuses differ are told apart before any
+    canonical form is built."""
     ia, ib = a._index, b._index
     if len(ia.vid) != len(ib.vid) or len(ia.eid) != len(ib.eid):
         return False
+    if _strand_signature(ia) != _strand_signature(ib):
+        return False
     return canonical_form(a) == canonical_form(b)
+
+
+def _strand_signature(ix: _Index) -> List[Tuple]:
+    """Each strand's curve, edge count and marker sum up to sign (``()`` for
+    none), sorted.  An isomorphism keeps sigma, alpha, curve labels and
+    oriented markers, so it carries strands onto strands of the same curve and
+    length; only the walk's direction, which edge ids fix, may negate a sum."""
+
+    def signature(c: Component) -> Tuple:
+        s = c.marker_sum
+        return c.curve, len(c.edges), () if s is None else max(s, (-s[0], -s[1]))
+
+    return sorted(map(signature, _strands(ix)[0].components))

@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import shlex
 import subprocess
 import sys
 import types
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import curvesys
-from curvesys import harness, scene
+from curvesys import cli, harness, scene
 from curvesys.cli import main
 from curvesys.corpus import bigon_scene, dt_decompositions
 from curvesys.dtcoords import DTCoords, save_dt
@@ -83,6 +84,26 @@ def test_torus_profile_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "n,value"
     assert lines[1:] == ["-2,5", "-1,3", "0,1", "1,1", "2,3"]
+
+
+def test_torus_synopsis_lines_run_as_written(capsys):
+    """Every ``curvesys torus`` line of the synopsis in ``cli.__doc__`` exits
+    0, so a value that argparse would read as a flag cannot creep back in."""
+    lines = [
+        line.split("curvesys ", 1)[1].replace("[--neg]", "")
+        for line in cli.__doc__.splitlines()
+        if line.strip().startswith("curvesys torus ")
+    ]
+    assert len(lines) == 4
+    for line in lines:
+        assert run(capsys, *shlex.split(line))[0] == 0, line
+
+
+def test_torus_negative_first_coordinates(capsys):
+    """The spellings README gives for a class whose first coordinate is
+    negative; classes are unoriented, so -1,0 gives what 1,0 gives."""
+    assert run(capsys, "torus", "mul", "--", "-1,0", "0,1") == (0, "(1,1)\n")
+    assert run(capsys, "torus", "twist", "--along=-1,0", "--on", "0,1") == (0, "(1,1)\n")
 
 
 def test_scene_validate(capsys, grid_file):

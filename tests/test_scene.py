@@ -5,7 +5,7 @@ import json
 import random
 import re
 import tempfile
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import partial
 from itertools import permutations, product
 from pathlib import Path
@@ -48,7 +48,13 @@ from curvesys.scene import (
     validate,
 )
 from curvesys.sceneio import load_scene, save_scene, scene_from_dict, scene_to_dict
-from curvesys.torus import intersection, multiply, normalize, signed_power_multiply
+from curvesys.torus import (
+    enumerate_classes,
+    intersection,
+    multiply,
+    normalize,
+    signed_power_multiply,
+)
 
 
 def census_classes(scene, curve=None):
@@ -259,6 +265,30 @@ def test_region_condition_parallel_copy_triple():
     scene = torus_lines_scene([("c1", (1, 0)), ("c2", (0, 1)), ("c3", (1, 0))])
     assert validate(scene).genus == 1
     assert check_region_condition(scene, "c1", "c2", "c3") is True
+
+
+def test_region_condition_implies_associativity_and_is_not_needed_for_it():
+    """Every ordered triple of classes at bound 2 whose lines are not all
+    parallel builds a cellular scene.  Where the region condition holds, the
+    triple product is associative; many associative triples fail it."""
+    tally = Counter()
+    for a, b, c in product(enumerate_classes(2), repeat=3):
+        scene = torus_lines_scene([("c1", (a.x, a.y)), ("c2", (b.x, b.y)), ("c3", (c.x, c.y))])
+        if intersection(a, b) == intersection(b, c) == intersection(a, c) == 0:
+            with pytest.raises(NonCellular):
+                validate(scene)
+            continue
+        assert validate(scene).genus == 1
+        holds = check_region_condition(scene, "c1", "c2", "c3")
+        tally[holds, multiply(multiply(a, b), c) == multiply(a, multiply(b, c))] += 1
+    # (holds and associative, holds only, associative only, neither)
+    assert [tally[True, True], tally[True, False], tally[False, True], tally[False, False]] == [
+        612, 0, 648, 432,
+    ]
+    a, b, c = normalize(0, 1), normalize(1, -2), normalize(1, -1)
+    scene = torus_lines_scene([("c1", (0, 1)), ("c2", (1, -2)), ("c3", (1, -1))])
+    assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+    assert check_region_condition(scene, "c1", "c2", "c3") is False
 
 
 def test_region_condition_unknown_curve():
@@ -1642,10 +1672,8 @@ def test_scenes_isomorphic_agrees_with_vf2(pair):
     assert scenes_isomorphic(x, y) == _vf2_isomorphic(x, y), (x.name, y.name)
 
 
-def test_scenes_isomorphic_reaches_canonical_form_through_the_module(monkeypatch):
-    """The benchmark's tracer times ``canonical_form`` by wrapping the module
-    attribute, so ``scenes_isomorphic`` must look it up there, twice per pair
-    whose sizes agree."""
+def _count_canonical_forms(monkeypatch):
+    """The scenes passed to ``curvesys.scene.canonical_form`` from now on."""
     import curvesys.scene as scene_module
 
     calls = []
@@ -1656,6 +1684,15 @@ def test_scenes_isomorphic_reaches_canonical_form_through_the_module(monkeypatch
         return real(*args, **kwargs)
 
     monkeypatch.setattr(scene_module, "canonical_form", counted)
+    return calls
+
+
+def test_scenes_isomorphic_reaches_canonical_form_through_the_module(monkeypatch):
+    """The benchmark's tracer times ``canonical_form`` by wrapping the module
+    attribute, so ``scenes_isomorphic`` must look it up there, twice per pair
+    whose sizes and strand censuses agree.  The near miss changes one
+    strand's sum and the swapped copy its curves, so neither reaches it."""
+    calls = _count_canonical_forms(monkeypatch)
     rng = random.Random(5)
     grid = torus_grid_scene(3, 1, -1, 2)
     pairs = [
@@ -1664,4 +1701,54 @@ def test_scenes_isomorphic_reaches_canonical_form_through_the_module(monkeypatch
         (grid, _relabelled(grid, rng, {"a": "b", "b": "a"})),
     ]
     assert [scenes_isomorphic(x, y) for x, y in pairs] == [True, False, False]
-    assert len(calls) == 2 * len(pairs)
+    assert calls == list(pairs[0])
+
+
+def _strand_rows(scene):
+    return [(c.curve, len(c.edges), c.marker_sum) for c in components(scene).components]
+
+
+def test_scenes_isomorphic_takes_strand_sums_up_to_sign():
+    """Reversing every edge reverses every strand walk, which negates its
+    raw sum; the scenes are still isomorphic."""
+    grid = torus_grid_scene(2, 1, -1, 3)
+    flipped = Scene(
+        "flipped",
+        grid.vertices,
+        [Edge(e.id, e.half[::-1], e.curve, (-e.marker[0], -e.marker[1])) for e in grid.edges],
+        grid.curves,
+    )
+    negated = [(c, n, (-s[0], -s[1])) for c, n, s in _strand_rows(grid)]
+    assert _strand_rows(flipped) == negated != _strand_rows(grid)
+    assert scenes_isomorphic(grid, flipped)
+    assert scenes_isomorphic(flipped, _relabelled(grid, random.Random(3)))
+
+
+def test_scenes_isomorphic_with_a_strand_that_has_no_sum():
+    grid = torus_grid_scene(2, 0, 0, 1)
+    k = next(k for k, e in enumerate(grid.edges) if e.curve == "a")
+    edges = list(grid.edges)
+    edges[k] = Edge(edges[k].id, edges[k].half, "a")
+    partial_marks = Scene("partial", grid.vertices, edges, grid.curves)
+    rows = _strand_rows(partial_marks)
+    assert sorted((r for r in rows if r[0] == "a"), key=str) == [("a", 1, (1, 0)), ("a", 1, None)]
+    assert scenes_isomorphic(partial_marks, _relabelled(partial_marks, random.Random(4)))
+    assert not scenes_isomorphic(partial_marks, grid)
+
+
+def test_scenes_isomorphic_decides_equal_censuses_by_canonical_form(monkeypatch):
+    """Negating the one a-marker of the one-crossing grid keeps the strand
+    census up to sign but is no isomorphism, which only the canonical forms
+    can tell."""
+    grid = torus_grid_scene(1, 0, 0, 1)
+    negated = Scene(
+        "negated",
+        grid.vertices,
+        [e if e.curve != "a" else Edge(e.id, e.half, "a", (-e.marker[0], -e.marker[1]))
+         for e in grid.edges],
+        grid.curves,
+    )
+    assert not _vf2_isomorphic(grid, negated)
+    calls = _count_canonical_forms(monkeypatch)
+    assert not scenes_isomorphic(grid, negated)
+    assert calls == [grid, negated]
