@@ -25,7 +25,7 @@ from typing import Dict, List, Tuple, Union
 
 from .dtcoords import DTCoords, PantsDecomposition, save_dt
 from .grids import torus_grid_scene
-from .scene import Curve, Edge, Scene, Vertex
+from .scene import Curve, Scene, _checked_scene, _columns
 from .sceneio import save_scene
 from .torus import enumerate_classes, intersection
 
@@ -72,17 +72,15 @@ def _two_loops(name: str, b_order: Tuple[int, ...], flipped: Tuple[bool, ...]) -
     where ``flipped[v]``.  Crossing v has half-edges 4v (a out), 4v + 1
     (a in), 4v + 2 (b out) and 4v + 3 (b in)."""
     n = len(b_order)
-    edges = [Edge(i, (4 * i, 4 * ((i + 1) % n) + 1), "a") for i in range(n)]
-    for j in range(n):
-        edges.append(Edge(n + j, (4 * b_order[j] + 2, 4 * b_order[(j + 1) % n] + 3), "b"))
-    vertices = []
-    for v in range(n):
-        if flipped[v]:
-            cycle = (4 * v, 4 * v + 2, 4 * v + 1, 4 * v + 3)
-        else:
-            cycle = (4 * v, 4 * v + 3, 4 * v + 1, 4 * v + 2)
-        vertices.append(Vertex(v, cycle))
-    return Scene(name=name, vertices=vertices, edges=edges, curves=[Curve("a", 1), Curve("b", 1)])
+    halves = [(4 * i, 4 * ((i + 1) % n) + 1) for i in range(n)]
+    halves += [(4 * b_order[j] + 2, 4 * b_order[(j + 1) % n] + 3) for j in range(n)]
+    cycles = [
+        (4 * v, 4 * v + 2, 4 * v + 1, 4 * v + 3) if f else (4 * v, 4 * v + 3, 4 * v + 1, 4 * v + 2)
+        for v, f in enumerate(flipped)
+    ]
+    vid, eid, curve = list(range(n)), list(range(2 * n)), ["a"] * n + ["b"] * n
+    curves = [Curve("a", 1), Curve("b", 1)]
+    return _checked_scene(name, vid, cycles, eid, halves, curve, [None] * (2 * n), curves=curves)
 
 
 def trivial_component_scene() -> Scene:
@@ -93,19 +91,14 @@ def trivial_component_scene() -> Scene:
     exactly its component.
     """
     grid = torus_grid_scene(1, 0, 0, 1)
-    max_vid, max_eid, max_hid = grid.max_ids()
-    h = max_hid + 1
-    vertices = list(grid.vertices) + [
-        Vertex(max_vid + 1, (h, h + 1)),
-        Vertex(max_vid + 2, (h + 2, h + 3)),
-    ]
-    edges = list(grid.edges) + [
-        Edge(max_eid + 1, (h + 1, h + 2), "c", (0, 0)),
-        Edge(max_eid + 2, (h + 3, h), "c", (0, 0)),
-    ]
-    curves = list(grid.curves) + [Curve("c", 1)]
-    return Scene(
-        name="trivial-component-control", vertices=vertices, edges=edges, curves=curves
+    vid, cycles, eid, halves, curve, marker = _columns(grid._index)
+    v, e, h = len(vid), len(eid), 2 * len(eid)  # free: the grid's ids run from 0
+    return _checked_scene(
+        "trivial-component-control",
+        [*vid, v, v + 1], [*cycles, (h, h + 1), (h + 2, h + 3)],
+        [*eid, e, e + 1], [*halves, (h + 1, h + 2), (h + 3, h)],
+        [*curve, "c", "c"], [*marker, (0, 0), (0, 0)],
+        curves=[*grid.curves, Curve("c", 1)],
     )
 
 

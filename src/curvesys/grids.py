@@ -19,11 +19,11 @@ the constructor retries with fresh offsets.  Offset numerators grow
 geometrically so that no small integer combination of them vanishes
 identically; the built scene is always checked, never trusted.
 
-The builder makes no vertex or edge records.  Edge k owns half-edges 2k and
-2k + 1, so a half-edge id is its dart, and the vertex cycles and per-edge
-curves and markers go as columns to the one checked constructor that the
-file loader and ``Scene(...)`` also use, so a grid is checked when it is
-built, like every scene.  It builds its records only when they are first read.
+The builder makes no vertex or edge records; only outside callers pass
+records, to ``Scene(...)``.  Edge k owns half-edges 2k and 2k + 1, so a
+half-edge id is its dart, and the vertex cycles and per-edge curves and
+markers go as columns to the one checked constructor, so a grid is checked
+when it is built, like every scene, and builds its records when first read.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvalidScene, ParallelSlopes
-from .scene import _INT, _SEQ, Curve, Scene, _checked_index, _indexed, _int_rows
+from .scene import _INT, _SEQ, Curve, Scene, _checked_scene, _int_rows
 
 __all__ = ["torus_grid_scene", "torus_lines_scene"]
 
@@ -76,10 +76,10 @@ def torus_lines_scene(
     ``families`` is a list of (curve id, vector) pairs, each a list or tuple,
     mapping string curve ids to (possibly non-primitive) vectors of two exact
     ints; anything else, or a name that is not a string, raises InvalidScene
-    before any geometry.  Parallel families simply do not cross.  At least
-    one pair of families must be non-parallel (otherwise nothing is cellular
-    and there is nothing to hang the complement on) unless the scene has a
-    single family, which is permitted for building blocks of larger scenes.
+    before any geometry.  Parallel families simply do not cross.  All-parallel
+    families, a single one included, are built (as blocks of larger scenes)
+    but never cellular: two or more lines are disconnected, and one alone
+    encodes genus 0 while carrying markers, so ``validate`` raises NonCellular.
     """
     if type(families) not in _SEQ:
         raise InvalidScene(f"curve families must be a list of (id, vector) pairs, got {families!r}")
@@ -231,8 +231,8 @@ def _build(
     curves = [Curve(cid, g) for cid, g, _, _ in fams]
     darts = range(2 * len(curve))
     vid, eid = list(range(len(cycles))), list(range(len(curve)))
-    ix = _checked_index(vid, cycles, eid, list(zip(darts[::2], darts[1::2])), curve, marker, curves)
-    return _indexed(name, curves, ix)
+    halves = list(zip(darts[::2], darts[1::2]))
+    return _checked_scene(name, vid, cycles, eid, halves, curve, marker, curves=curves)
 
 
 def _ccw_rank(dirs: Iterable[Vec]) -> Dict[Vec, int]:

@@ -16,10 +16,11 @@ cycles as half-edge ids, edge ids, edge halves, curve labels, markers and the
 curve records.  It maps half-edge ids to darts and checks integer ids,
 half-edges and markers, string curve ids and labels, half-edge bookkeeping,
 vertex degrees 2 or 4, alternating crossings and expected component counts,
-raising a SceneError on the first violation.  ``Scene(...)`` checks that its
-name is a string, feeds the constructor its records' columns and keeps none
-of the records; the file loader and the grid constructors hand it theirs (for
-a grid each half-edge id is its dart), and ``resolve`` derives its output's
+raising a SceneError on the first violation.  Only outside callers pass
+records: ``Scene(...)`` checks that its name is a string, feeds the
+constructor its records' columns and keeps none of them.  The file loader,
+the grids (where each half-edge id is its dart), the corpus controls and
+``parallel_copies`` hand it columns, and ``resolve`` derives its output's
 index from the input's by a local rewrite of sigma, degrees and the
 per-vertex columns.  One reader gives the columns back: the Vertex and Edge
 records, built when first read, and the file writer both use it.  Faces,
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, count
+from itertools import chain, compress, count
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
@@ -105,12 +106,12 @@ class Curve:
 
 class Scene:
     """An immutable rotation system with curve-labelled edges, held as one
-    checked dart index.  ``Scene(...)`` checks that the name is a string and
-    indexes its records' columns with the one checked constructor, raising a
-    SceneError on the first violation, and keeps none of the Vertex or Edge
-    records given; the loader, the grid constructors and ``resolve`` hand over
-    a checked index.  ``vertices`` and ``edges`` are built from the index when
-    first read, so a scene's file loads back to equal records.
+    checked dart index.  Only outside callers use ``Scene(...)``: it checks
+    that the name is a string and indexes its records' columns with the one
+    checked constructor, raising a SceneError on the first violation, and
+    keeps none of the Vertex or Edge records given; the package's builders
+    hand that constructor columns.  ``vertices`` and ``edges`` are built from
+    the index when first read, so a scene's file loads back to equal records.
     :func:`validate` adds the Euler bookkeeping and cellularity.
     """
 
@@ -139,11 +140,6 @@ class Scene:
         if self._parts is None:
             self._parts = _records(self._index)
         return self._parts
-
-    def max_ids(self) -> Tuple[int, int, int]:
-        """(max vertex id, max edge id, max half-edge id), -1 when empty."""
-        ix = self._index
-        return max(ix.vid, default=-1), max(ix.eid, default=-1), max(ix.hid, default=-1)
 
     def __repr__(self) -> str:
         v, e = len(self._index.vid), len(self._index.eid)
@@ -242,6 +238,12 @@ def _indexed(name: str, curves: Iterable[Curve], ix: _Index) -> Scene:
     out = Scene.__new__(Scene)
     out.name, out.curves, out._parts, out._index = name, tuple(curves), None, ix
     return out
+
+
+def _checked_scene(name: str, *columns: Sequence, curves: Sequence[Curve]) -> Scene:
+    """A scene of the six columns that :func:`_checked_index` takes, checked
+    as it is built; every scene not built by ``Scene(...)`` or ``resolve``."""
+    return _indexed(name, curves, _checked_index(*columns, curves))
 
 
 _INT = {int}  # the only accepted type for ids, half-edges and markers; bool is not int
@@ -797,8 +799,7 @@ def parallel_copies(scene: Scene, curve_id: str, n: int) -> Scene:
 
     # Step i of the loop enters its edge by dart walk[i] and leaves by its partner.
     walk = walks[mine[0]]
-    next_vid, next_eid, next_hid = (x + 1 for x in scene.max_ids())
-    fresh = count(next_hid)  # fresh half-edge ids
+    fresh = count(max(ix.hid) + 1)  # fresh half-edge ids
     m = len(walk)
     copy_half_start = [[next(fresh) for _ in range(n)] for _ in range(m)]
     copy_half_end = [[next(fresh) for _ in range(n)] for _ in range(m)]
@@ -808,60 +809,52 @@ def parallel_copies(scene: Scene, curve_id: str, n: int) -> Scene:
     loop_halves = {hid[p] for e in walk for p in (e, e ^ 1)}
     loop_edges = {e >> 1 for e in walk}
 
-    # The kept records, then the copies and connectors.
-    kept_vertices, kept_edges = _records(ix)
-    vertices = [v for v in kept_vertices if loop_halves.isdisjoint(v.cycle)]
-    edges = [e for k, e in enumerate(kept_edges) if k not in loop_edges]
+    # The kept rows, then the copies and connectors, which take fresh ids
+    # past the largest in row order.
+    vid, cycles, eid, halves, curve, marker = _columns(ix)
+    keep = [loop_halves.isdisjoint(c) for c in cycles]
+    vid, cycles = list(compress(vid, keep)), list(compress(cycles, keep))
+    keep = [k not in loop_edges for k in range(len(eid))]
+    eid, halves, curve, marker = (list(compress(col, keep)) for col in (eid, halves, curve, marker))
 
     for i, entry in enumerate(walk):
         # The travel-oriented marker of step i, copied onto every copy of its edge.
         mk = ix.marker[entry >> 1]
         marker_i = (-mk[0], -mk[1]) if mk is not None and entry & 1 else mk
-        for j in range(n):
-            half = (copy_half_start[i][j], copy_half_end[i][j])
-            edges.append(Edge(next_eid, half, curve_id, marker_i))
-            next_eid += 1
+        halves += zip(copy_half_start[i], copy_half_end[i])
+        curve += [curve_id] * n
+        marker += [marker_i] * n
 
     # Rebuild each visited vertex.  Step i ends at the vertex between step i
     # and step i+1; copies are indexed 0 (right of travel) .. n-1 (left).
     for i, entry in enumerate(walk):
-        j_in = i
         j_out = (i + 1) % m
         if ix.deg[entry ^ 1] == 2:
-            for j in range(n):
-                cycle = (copy_half_end[j_in][j], copy_half_start[j_out][j])
-                vertices.append(Vertex(next_vid, cycle))
-                next_vid += 1
+            cycles += zip(copy_half_end[i], copy_half_start[j_out])
             continue
         # Crossing with another curve: cycle reads (out, left, in, right)
         # counterclockwise starting at the outgoing copy-curve half-edge,
         # which is where step i+1 enters.
         c_left = ix.nxt[walk[j_out]]
         c_right = ix.nxt[ix.nxt[c_left]]
-        other_curve = ix.curve[c_left >> 1]
         # Connector edges between consecutive copies, crossing right-to-left.
-        conn_left: List[int] = [0] * n
-        conn_right: List[int] = [0] * n
-        conn_right[0] = hid[c_right]
-        conn_left[n - 1] = hid[c_left]
-        for j in range(1, n):
-            h_a, h_b = next(fresh), next(fresh)
-            edges.append(Edge(next_eid, (h_a, h_b), other_curve, zero))
-            next_eid += 1
-            conn_left[j - 1] = h_a
-            conn_right[j] = h_b
-        for j in range(n):
-            cycle = (copy_half_start[j_out][j], conn_left[j], copy_half_end[j_in][j], conn_right[j])
-            vertices.append(Vertex(next_vid, cycle))
-            next_vid += 1
+        connectors = [(next(fresh), next(fresh)) for _ in range(n - 1)]
+        conn_left = [h for h, _ in connectors] + [hid[c_left]]
+        conn_right = [hid[c_right]] + [h for _, h in connectors]
+        halves += connectors
+        curve += [ix.curve[c_left >> 1]] * (n - 1)
+        marker += [zero] * (n - 1)
+        cycles += zip(copy_half_start[j_out], conn_left, copy_half_end[i], conn_right)
+    vid += range(max(ix.vid) + 1, max(ix.vid) + 1 + len(cycles) - len(vid))
+    eid += range(max(ix.eid) + 1, max(ix.eid) + 1 + len(halves) - len(eid))
 
-    new_curves = []
-    for c in scene.curves:
-        if c.id == curve_id and c.expected_components is not None:
-            new_curves.append(Curve(c.id, c.expected_components * n))
-        else:
-            new_curves.append(c)
-    return Scene(f"copies({scene.name},{curve_id}x{n})", vertices, edges, new_curves)
+    curves = [
+        c if c.id != curve_id or c.expected_components is None
+        else Curve(c.id, c.expected_components * n)
+        for c in scene.curves
+    ]
+    name = f"copies({scene.name},{curve_id}x{n})"
+    return _checked_scene(name, vid, cycles, eid, halves, curve, marker, curves=curves)
 
 
 # ======================================================================

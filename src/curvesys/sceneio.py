@@ -12,11 +12,12 @@ A scene file is a single object::
 ``marker`` is optional per edge.  The three tables must be JSON lists, ids,
 half-edges and marker entries plain JSON integers, and the name, curve ids and
 edge curve labels JSON strings; anything else is rejected.  The loader hands
-the tables as columns to the scene's checked constructor, so a file that is
-not a valid rotation system raises its SceneError at load (the command line
-exits 2, as before); the writer reads the index's columns with the reader
-that builds records, and neither builds one.  load(save(s)) has records equal
-to s's, ids verbatim; expected component counts are not serialized.
+the tables as columns to the scene's checked constructor (only outside
+callers pass records, to ``Scene(...)``), so a file that is not a valid
+rotation system raises its SceneError at load (the command line exits 2); the
+writer reads the index's columns with the reader that builds records, and
+neither builds one.  load(save(s)) has records equal to s's, ids verbatim;
+expected component counts are not serialized.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 from typing import Any, Dict, Union
 
 from .errors import InvalidScene
-from .scene import Curve, Scene, _checked_index, _columns, _indexed
+from .scene import Curve, Scene, _checked_scene, _columns
 
 __all__ = ["scene_to_dict", "scene_from_dict", "save_scene", "load_scene"]
 
@@ -69,7 +70,7 @@ def scene_from_dict(data: Dict[str, Any]) -> Scene:
             raise ValueError(f"the scene name must be a string, got {name!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidScene(f"malformed scene file: {exc}") from exc
-    return _indexed(name, curves, _checked_index(vid, cycles, eid, halves, curve, marker, curves))
+    return _checked_scene(name, vid, cycles, eid, halves, curve, marker, curves=curves)
 
 
 def save_scene(scene: Scene, path: Union[str, Path]) -> None:

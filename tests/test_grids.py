@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvesys import grids
-from curvesys.errors import CurveSysError, InvalidScene, ParallelSlopes
+from curvesys.errors import CurveSysError, InvalidScene, NonCellular, ParallelSlopes
 from curvesys.grids import torus_grid_scene, torus_lines_scene
-from curvesys.scene import Curve, Edge, Scene, Vertex
+from curvesys.scene import Curve, Edge, Scene, Vertex, validate
 from curvesys.sceneio import scene_to_dict
 
 Vec = Tuple[int, int]
@@ -305,6 +305,22 @@ def test_torus_lines_scene_rejects_a_name_that_is_not_a_string():
     with pytest.raises(InvalidScene) as info:
         torus_lines_scene([("a", (1, 0)), ("b", (0, 1))], name=5)
     assert str(info.value) == "the scene name must be a string, got 5"
+
+
+@pytest.mark.parametrize(
+    "families, message",
+    [
+        ([("a", (1, 0))], "carries torus markers but encodes genus 0"),
+        ([("a", (2, 0))], "is disconnected"),
+        ([("c1", (1, 0)), ("c2", (2, 0))], "is disconnected"),
+        ([("a", (1, 1)), ("b", (-1, -1)), ("c", (3, 3))], "is disconnected"),
+    ],
+)
+def test_torus_lines_scene_builds_all_parallel_families_but_never_cellular(families, message):
+    scene = torus_lines_scene(families)
+    assert validate(scene, require_cellular=False).cellular is False
+    with pytest.raises(NonCellular, match=message):
+        validate(scene)
 
 
 def test_torus_lines_scene_takes_list_pairs():

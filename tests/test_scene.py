@@ -8,12 +8,19 @@ import tempfile
 from collections import Counter, defaultdict
 from functools import partial
 from itertools import permutations, product
+from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from curvesys.corpus import _two_loops, bigon_scene, genus2_filling_pair, trivial_component_scene
+from curvesys.corpus import (
+    _two_loops,
+    bigon_scene,
+    genus2_filling_pair,
+    grid_corpus_parameters,
+    trivial_component_scene,
+)
 from curvesys.errors import (
     BigonPresent,
     CurveSysError,
@@ -449,13 +456,23 @@ def test_trivial_components_controls():
     assert [c.curve for c in found] == ["c"]
 
 
+def _next_ids(scene):
+    """The first free vertex, edge and half-edge ids: one past the largest
+    in the scene's records, 0 when there is none."""
+    return (
+        max((v.id for v in scene.vertices), default=-1) + 1,
+        max((e.id for e in scene.edges), default=-1) + 1,
+        max((h for e in scene.edges for h in e.half), default=-1) + 1,
+    )
+
+
 def _markerless_circle_scenes():
     # A genus-2 filling pair plus a markerless circle: the rotation system does
     # not say whether the circle bounds a disk or is essential.
     base = genus2_filling_pair()
-    mv, me, mh = base.max_ids()
-    vertices = list(base.vertices) + [Vertex(mv + 1, (mh + 1, mh + 2))]
-    edges = list(base.edges) + [Edge(me + 1, (mh + 2, mh + 1), "c")]
+    vid, eid, hid = _next_ids(base)
+    vertices = list(base.vertices) + [Vertex(vid, (hid, hid + 1))]
+    edges = list(base.edges) + [Edge(eid, (hid + 1, hid), "c")]
     yield Scene("g2-plus-circle", vertices, edges, list(base.curves) + [Curve("c", 1)])
     # The essential (1,0) line with its markers stripped: a circle encoding genus 0.
     line = torus_lines_scene([("a", (1, 0))])
@@ -569,7 +586,7 @@ def _subdivided(scene, curve_id):
     edges = list(scene.edges)
     k = next(i for i, e in enumerate(edges) if e.curve == curve_id)
     old = edges[k]
-    vid, eid, hid = (x + 1 for x in scene.max_ids())
+    vid, eid, hid = _next_ids(scene)
     zero = None if old.marker is None else (0, 0)
     edges[k : k + 1] = [
         Edge(old.id, (old.half[0], hid), curve_id, old.marker),
@@ -597,6 +614,52 @@ def test_parallel_copies_errors():
     multi = torus_grid_scene(2, 0, 0, 1)
     with pytest.raises(SelfCrossingCurve):
         parallel_copies(multi, "a", 2)  # two components, not a single loop
+
+
+def _copies_inputs():
+    """(scene, curve) for each bound-3 corpus grid and curve a or b, then for
+    each curve of the genus-2 and trivial-component controls."""
+    for pqrs in grid_corpus_parameters(3):
+        grid = torus_grid_scene(*pqrs)
+        yield grid, "a"
+        yield grid, "b"
+    for control in (genus2_filling_pair(), trivial_component_scene()):
+        for c in control.curves:
+            yield control, c.id
+
+
+# sha256 of the file dict and curve records of ``parallel_copies`` on every
+# input of ``_copies_inputs`` with n = 2 and 3 (or of the error it raises), as
+# built when ``parallel_copies`` still extended its input's records.
+_COPIES_SHA256 = (730, "cdb6510ba6fd2693a6c74fca6f32345b0b67e8499f5c65df703a41a16300713b")
+
+
+def test_parallel_copies_outputs_are_unchanged():
+    digest, outputs = hashlib.sha256(), 0
+    for scene, curve_id in _copies_inputs():
+        for n in (2, 3):
+            try:
+                out = parallel_copies(scene, curve_id, n)
+            except SelfCrossingCurve as exc:  # a non-primitive grid vector
+                digest.update(str(exc).encode())
+                continue
+            outputs += 1
+            curves = [[c.id, c.expected_components] for c in out.curves]
+            digest.update(json.dumps([scene_to_dict(out), curves], sort_keys=True).encode())
+    assert (outputs, digest.hexdigest()) == _COPIES_SHA256
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_parallel_copies_of_a_grid_loop_is_the_grid_of_its_multiple(n):
+    """n copies of the primitive loop a of grid(p,q,r,s) is grid(np,nq,r,s)
+    up to markers, which the two place differently: copies keep each edge's
+    marker on its n copies and give the connectors (0, 0)."""
+    cases = [g for g in grid_corpus_parameters(3) if gcd(g[0], g[1]) == 1]
+    assert len(cases) == 186
+    for p, q, r, s in cases:
+        out = parallel_copies(torus_grid_scene(p, q, r, s), "a", n)
+        want = torus_grid_scene(n * p, n * q, r, s)
+        assert scenes_isomorphic(_markerless(out), _markerless(want)), (p, q, r, s)
 
 
 # ----------------------------------------------------------------------
@@ -822,7 +885,7 @@ def _disjoint_union(x, y, rename=None):
     both keep one global set of curve ids."""
     rename = rename or {}
     ids = [c.id for c in x.curves] + [rename.get(c.id, c.id) for c in y.curves]
-    mv, me, mh = (m + 1 for m in x.max_ids())
+    mv, me, mh = _next_ids(x)
     vertices = list(x.vertices) + [
         Vertex(v.id + mv, tuple(h + mh for h in v.cycle)) for v in y.vertices
     ]
@@ -1016,7 +1079,6 @@ def _every_operation(scene):
     yield lambda: trivial_components(resolve(scene, "b", "a", convention="before"))
     yield lambda: validate(parallel_copies(scene, "a", 2), require_cellular=False)
     yield lambda: scenes_isomorphic(scene, scene)
-    yield lambda: scene.max_ids()
 
 
 @settings(max_examples=150, deadline=None)
@@ -1357,10 +1419,7 @@ def _count_record_builds(monkeypatch):
 def test_resolved_records_are_built_only_when_read(monkeypatch):
     built = _count_record_builds(monkeypatch)
     assert suite_resolution_oracle(2).ok
-    # The one record build is the trivial-component control, which extends
-    # the records of grid(1,0,0,1); no resolve output is read.
-    assert len(built) == 1
-    built.clear()
+    assert built == []  # no scene of the suite, resolve outputs and controls included, is read
     grid = torus_grid_scene(2, 1, -1, 2)
     out = resolve(grid, "a", "b")
     components(out), trivial_components(out), validate(out, require_cellular=False)
@@ -1384,11 +1443,9 @@ def test_grid_records_are_built_only_when_read(monkeypatch):
     monkeypatch.setattr(harness_module, "torus_grid_scene", recorded)
     built = _count_record_builds(monkeypatch)
     assert suite_resolution_oracle(2).ok
-    # No grid of the suite is read; the one record build is the trivial-component
-    # control, which extends the records of grid(1,0,0,1).
+    # No scene of the suite is read, the corpus controls and their grid included.
     assert grids and all(grid._parts is None for grid in grids)
-    assert len(built) == 1
-    built.clear()
+    assert built == []
     grid = torus_grid_scene(2, 1, -1, 2)
     validate(grid), components(grid), find_bigons(grid, "a", "b"), canonical_form(grid)
     components(resolve(grid, "a", "b"))
@@ -1506,28 +1563,40 @@ def test_corner_alternation_is_the_same_for_either_order(build):
 
 
 def test_resolve_outputs_are_not_indexed_again(monkeypatch):
+    import sys
+
     import curvesys.grids as grids_module
     import curvesys.scene as scene_module
 
-    calls = {"_checked_index": 0, "_walk_strands": 0, "grids": 0}
+    # No other module binds the checked constructor, so counting it here
+    # counts every scene that is checked.
+    holders = [
+        name for name, module in list(sys.modules.items())
+        if name.startswith("curvesys") and "_checked_index" in vars(module)
+    ]
+    assert holders == ["curvesys.scene"]
+    calls = {"_checked_index": 0, "_indexed": 0, "_walk_strands": 0, "grids": 0}
 
     def counted(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return wrapper
 
-    for name in ("_checked_index", "_walk_strands"):
+    for name in ("_checked_index", "_indexed", "_walk_strands"):
         monkeypatch.setattr(scene_module, name, counted(name, getattr(scene_module, name)))
     monkeypatch.setattr(
-        grids_module, "_checked_index", counted("grids", grids_module._checked_index)
+        grids_module, "torus_lines_scene", counted("grids", grids_module.torus_lines_scene)
     )
     assert suite_resolution_oracle(4).ok
-    # Only the three corpus controls are built from records and the 1,249
-    # grids from their columns; the 2,496 resolve outputs carry derived
-    # indexes, and every scene's strands are still walked once.
-    assert calls == {"_checked_index": 3, "_walk_strands": 3250, "grids": 1249}
+    # The 1,249 grids (the trivial-component control's among them) and the
+    # three corpus controls are checked; the 2,496 resolve outputs carry
+    # derived indexes, and every scene's strands are still walked once.
+    assert calls == {
+        "_checked_index": 1249 + 3, "_indexed": 1249 + 3 + 2496, "_walk_strands": 3250,
+        "grids": 1249,
+    }
 
 
 # ----------------------------------------------------------------------
