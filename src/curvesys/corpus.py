@@ -25,7 +25,7 @@ from typing import Dict, List, Tuple, Union
 
 from .dtcoords import DTCoords, PantsDecomposition, save_dt
 from .grids import torus_grid_scene
-from .scene import Curve, Scene, _checked_scene, _columns
+from .scene import Scene, _checked_scene, _columns
 from .sceneio import save_scene
 from .torus import enumerate_classes, intersection
 
@@ -79,8 +79,7 @@ def _two_loops(name: str, b_order: Tuple[int, ...], flipped: Tuple[bool, ...]) -
         for v, f in enumerate(flipped)
     ]
     vid, eid, curve = list(range(n)), list(range(2 * n)), ["a"] * n + ["b"] * n
-    curves = [Curve("a", 1), Curve("b", 1)]
-    return _checked_scene(name, vid, cycles, eid, halves, curve, [None] * (2 * n), curves=curves)
+    return _checked_scene(name, vid, cycles, eid, halves, curve, [None] * (2 * n), ["a", "b"])
 
 
 def trivial_component_scene() -> Scene:
@@ -97,8 +96,7 @@ def trivial_component_scene() -> Scene:
         "trivial-component-control",
         [*vid, v, v + 1], [*cycles, (h, h + 1), (h + 2, h + 3)],
         [*eid, e, e + 1], [*halves, (h + 1, h + 2), (h + 3, h)],
-        [*curve, "c", "c"], [*marker, (0, 0), (0, 0)],
-        curves=[*grid.curves, Curve("c", 1)],
+        [*curve, "c", "c"], [*marker, (0, 0), (0, 0)], [*grid.curves, "c"],
     )
 
 

@@ -32,7 +32,7 @@ from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvalidScene, ParallelSlopes
-from .scene import _INT, _SEQ, Curve, Scene, _checked_scene, _int_rows
+from .scene import _INT, _SEQ, Scene, _checked_scene, _int_rows
 
 __all__ = ["torus_grid_scene", "torus_lines_scene"]
 
@@ -228,11 +228,11 @@ def _build(
             marker.append((mx, my))
 
     cycles += plain
-    curves = [Curve(cid, g) for cid, g, _, _ in fams]
+    curves = [cid for cid, _ in families]
     darts = range(2 * len(curve))
     vid, eid = list(range(len(cycles))), list(range(len(curve)))
     halves = list(zip(darts[::2], darts[1::2]))
-    return _checked_scene(name, vid, cycles, eid, halves, curve, marker, curves=curves)
+    return _checked_scene(name, vid, cycles, eid, halves, curve, marker, curves)
 
 
 def _ccw_rank(dirs: Iterable[Vec]) -> Dict[Vec, int]:

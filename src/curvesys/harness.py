@@ -496,10 +496,11 @@ def _check_oracle_controls(rep: SuiteReport) -> None:
         rep.fail("trivial-control-detected", found, ["c"], scene=trivial_scene.name)
     g2 = corpus.genus2_filling_pair()
     diag = validate(g2)
-    shape = (diag.chi, diag.genus, diag.face_degrees)
+    shape = (diag.chi, diag.genus, diag.face_degrees, diag.components_per_curve)
+    want = (-2, 2, (8, 8), {"a": 1, "b": 1})
     rep.cases += 1
-    if shape != (-2, 2, (8, 8)):
-        rep.fail("genus2-pair-shape", shape, (-2, 2, (8, 8)), scene=g2.name)
+    if shape != want:
+        rep.fail("genus2-pair-shape", shape, want, scene=g2.name)
 
 
 def _check_oracle_case(
@@ -511,9 +512,11 @@ def _check_oracle_case(
     fail = partial(rep.fail, p=p, q=q, r=r, s=s)
     if deep:
         diag = validate(scene)
+        lines = {"a": a.multiplicity, "b": b.multiplicity}
         rep.cases += 3
-        if not (diag.cellular and diag.genus == 1):
-            fail("grid-cellular-torus", (diag.chi, diag.genus), (0, 1))
+        if not (diag.cellular and diag.genus == 1 and diag.components_per_curve == lines):
+            got = (diag.chi, diag.genus, diag.components_per_curve)
+            fail("grid-cellular-torus", got, (0, 1, lines))
         if not all(d == 4 for d in diag.face_degrees):
             fail("grid-all-quads", diag.face_degrees, "all 4")
         if not corner_alternation_ok(scene, "a", "b"):

@@ -13,19 +13,22 @@ surface of genus (2 - V + E - F) / 2.
 Every scene is one checked dart index (edge k owns darts 2k and 2k + 1, so
 alpha is p ^ 1), built by one constructor from columns: vertex ids, vertex
 cycles as half-edge ids, edge ids, edge halves, curve labels, markers and the
-curve records.  It maps half-edge ids to darts and checks integer ids,
-half-edges and markers, string curve ids and labels, half-edge bookkeeping,
-vertex degrees 2 or 4, alternating crossings and expected component counts,
-raising a SceneError on the first violation.  Only outside callers pass
-records: ``Scene(...)`` checks that its name is a string, feeds the
-constructor its records' columns and keeps none of them.  The file loader,
-the grids (where each half-edge id is its dart), the corpus controls and
-``parallel_copies`` hand it columns, and ``resolve`` derives its output's
-index from the input's by a local rewrite of sigma, degrees and the
-per-vertex columns.  One reader gives the columns back: the Vertex and Edge
-records, built when first read, and the file writer both use it.  Faces,
-strand components and graph-component orbits are derived from the index at
-most once per scene and kept on it.
+curve ids.  It maps half-edge ids to darts and checks integer ids, half-edges
+and markers, string curve ids and labels, half-edge bookkeeping, vertex
+degrees 2 or 4 and alternating crossings, raising a SceneError on the first
+violation.  A scene's curves are their ids, kept on the index in declared
+order; how many components each has is what ``components`` finds, and no
+scene declares it.  Only outside callers pass records: ``Scene(...)`` checks
+that its name is a string and that it is given lists or tuples of Vertex
+records, Edge records and curve ids, feeds the constructor their columns and
+keeps none of the records.  The file loader, the grids (where each half-edge
+id is its dart), the corpus controls and ``parallel_copies`` hand it columns,
+and ``resolve`` derives its output's index from the input's by a local
+rewrite of sigma, degrees, edge curves, curve ids and the per-vertex columns.
+One reader gives the columns back: the Vertex and Edge records, built when
+first read, and the file writer both use it.  Faces, strand components and
+graph-component orbits are derived from the index at most once per scene and
+kept on it.
 
 Cellularity is stricter, and only ``validate`` demands it: the scene must be
 connected (one graph component, so not empty), and a scene carrying homology
@@ -60,7 +63,6 @@ from .torus import TorusClass, normalize
 __all__ = [
     "Vertex",
     "Edge",
-    "Curve",
     "Scene",
     "Face",
     "Component",
@@ -98,43 +100,42 @@ class Edge:
     marker: Optional[Marker] = None
 
 
-@dataclass(frozen=True)
-class Curve:
-    id: str
-    expected_components: Optional[int] = None
-
-
 class Scene:
     """An immutable rotation system with curve-labelled edges, held as one
-    checked dart index.  Only outside callers use ``Scene(...)``: it checks
-    that the name is a string and indexes its records' columns with the one
-    checked constructor, raising a SceneError on the first violation, and
-    keeps none of the Vertex or Edge records given; the package's builders
-    hand that constructor columns.  ``vertices`` and ``edges`` are built from
-    the index when first read, so a scene's file loads back to equal records.
-    :func:`validate` adds the Euler bookkeeping and cellularity.
+    checked dart index.  Only outside callers use ``Scene(...)``: it takes a
+    string name and lists or tuples of Vertex records, Edge records and curve
+    ids, indexes their columns with the one checked constructor, raising a
+    SceneError on the first violation, and keeps none of the records given;
+    the package's builders hand that constructor columns.  ``curves`` is the
+    tuple of curve ids in declared order.  ``vertices`` and ``edges`` are
+    built from the index when first read, so a scene's file loads back to
+    equal records and curves.  :func:`validate` adds the Euler bookkeeping and
+    cellularity.
     """
 
-    __slots__ = ("name", "curves", "_parts", "_index")
+    __slots__ = ("name", "_parts", "_index")
 
     def __init__(
-        self,
-        name: str,
-        vertices: Iterable[Vertex],
-        edges: Iterable[Edge],
-        curves: Iterable[Curve],
+        self, name: str, vertices: Sequence[Vertex], edges: Sequence[Edge], curves: Sequence[str]
     ) -> None:
         if type(name) is not str:
             raise InvalidScene(f"the scene name must be a string, got {name!r}")
-        vs, es = tuple(vertices), tuple(edges)
-        self.name, self.curves, self._parts = name, tuple(curves), None  # records: built when read
+        for rows, what in ((vertices, "vertices"), (edges, "edges"), (curves, "curves")):
+            if type(rows) not in _SEQ:
+                raise InvalidScene(f"{what} must be a list or tuple, got {rows!r}")
+        for rows, kind in ((vertices, Vertex), (edges, Edge)):
+            if not {kind}.issuperset(map(type, rows)):
+                bad = next(x for x in rows if type(x) is not kind)
+                raise InvalidScene(f"expected {kind.__name__} records, got {bad!r}")
+        self.name, self._parts = name, None  # records: built when read
         self._index: _Index = _checked_index(
-            [v.id for v in vs], [v.cycle for v in vs], [e.id for e in es], [e.half for e in es],
-            [e.curve for e in es], [e.marker for e in es], self.curves,
+            [v.id for v in vertices], [v.cycle for v in vertices], [e.id for e in edges],
+            [e.half for e in edges], [e.curve for e in edges], [e.marker for e in edges], curves,
         )
 
     vertices = property(lambda self: self._read()[0])
     edges = property(lambda self: self._read()[1])
+    curves = property(lambda self: self._index.curves)
 
     def _read(self) -> Tuple[Tuple[Vertex, ...], Tuple[Edge, ...]]:
         if self._parts is None:
@@ -143,7 +144,7 @@ class Scene:
 
     def __repr__(self) -> str:
         v, e = len(self._index.vid), len(self._index.eid)
-        return f"Scene({self.name!r}, V={v}, E={e}, curves={[c.id for c in self.curves]})"
+        return f"Scene({self.name!r}, V={v}, E={e}, curves={list(self.curves)})"
 
 
 @dataclass(frozen=True)
@@ -225,7 +226,7 @@ class _Index:
         self.marker: List[Optional[Marker]] = marker  # per edge: its marker or None
         self.by_hid: List[int] = by_hid  # the darts in half-edge id order, where faces start
         self.by_eid: List[int] = by_eid  # the edges in edge id order, where strands start
-        self.curves: Set[str] = curves  # the scene's curve ids
+        self.curves: Tuple[str, ...] = curves  # the scene's curve ids, in declared order
         self.vid: List[int] = vid  # per vertex: its id
         self.first: List[int] = first  # per vertex: the dart its cycle starts at
         self.marked: bool = marked  # there are edges and every one carries a marker
@@ -233,17 +234,17 @@ class _Index:
         self.faces = self.orbits = self.strands = None
 
 
-def _indexed(name: str, curves: Iterable[Curve], ix: _Index) -> Scene:
+def _indexed(name: str, ix: _Index) -> Scene:
     """A scene with a checked index, which builds its records when read."""
     out = Scene.__new__(Scene)
-    out.name, out.curves, out._parts, out._index = name, tuple(curves), None, ix
+    out.name, out._parts, out._index = name, None, ix
     return out
 
 
-def _checked_scene(name: str, *columns: Sequence, curves: Sequence[Curve]) -> Scene:
-    """A scene of the six columns that :func:`_checked_index` takes, checked
+def _checked_scene(name: str, *columns: Sequence) -> Scene:
+    """A scene of the seven columns that :func:`_checked_index` takes, checked
     as it is built; every scene not built by ``Scene(...)`` or ``resolve``."""
-    return _indexed(name, curves, _checked_index(*columns, curves))
+    return _indexed(name, _checked_index(*columns))
 
 
 _INT = {int}  # the only accepted type for ids, half-edges and markers; bool is not int
@@ -267,33 +268,26 @@ def _checked_index(
     halves: Sequence[Sequence[int]],
     curve: List[str],
     marker: List[Optional[Marker]],
-    curves: Sequence[Curve],
+    curves: Sequence[str],
 ) -> _Index:
     """The dart index of a scene given as columns, checked on the way: vertex
     k has id ``vid[k]`` and the counterclockwise half-edge ids ``cycles[k]``;
     edge k has id ``eid[k]``, half-edges ``halves[k]``, curve ``curve[k]`` and
-    marker ``marker[k]`` or None, and owns darts 2k and 2k + 1.  Ids come
-    first, then the curve records and labels, half-edges and markers, then
-    the vertex cycles."""
+    marker ``marker[k]`` or None, and owns darts 2k and 2k + 1; ``curves``
+    holds the curve ids.  Ids come first, then the curve ids and labels,
+    half-edges and markers, then the vertex cycles."""
     for ids, what in ((vid, "vertex"), (eid, "edge")):
         if not _INT.issuperset(map(type, ids)):
             bad = next(x for x in ids if type(x) is not int)
             raise InvalidScene(f"{what} ids must be integers, got {bad!r}")
         if len(set(ids)) != len(ids):
             raise InvalidScene(f"duplicate {what} ids")
-    labels = [c.id for c in curves]
-    if not {str}.issuperset(map(type, chain(labels, curve))):
-        bad = next(x for x in chain(labels, curve) if type(x) is not str)
+    if not {str}.issuperset(map(type, chain(curves, curve))):
+        bad = next(x for x in chain(curves, curve) if type(x) is not str)
         raise InvalidScene(f"curve ids and edge curve labels must be strings, got {bad!r}")
-    names, used = set(labels), set(curve)
+    names, used = set(curves), set(curve)
     if len(names) != len(curves):
         raise InvalidScene("duplicate curve ids")
-    for c in curves:
-        n = c.expected_components
-        if n is not None and (type(n) is not int or n < 0):  # bool is not int
-            raise InvalidScene(
-                f"curve {c.id!r} expected components must be a non-negative integer, got {n!r}"
-            )
     if not used <= names:
         k = next(k for k, c in enumerate(curve) if c not in names)
         raise InvalidScene(f"edge {eid[k]} references unknown curve {curve[k]!r}")
@@ -335,7 +329,9 @@ def _checked_index(
     marker = [m if m is None else tuple(m) for m in marker]
     by_hid = hid if identity else sorted(range(n), key=hid.__getitem__)
     by_eid = sorted(range(len(eid)), key=eid.__getitem__)
-    return _Index(nxt, deg, hid, eid, curve, marker, by_hid, by_eid, names, vid, first, marked)
+    return _Index(
+        nxt, deg, hid, eid, curve, marker, by_hid, by_eid, tuple(curves), vid, first, marked
+    )
 
 
 def _link_cycles(
@@ -515,18 +511,11 @@ def validate(scene: Scene, require_cellular: bool = True) -> SceneDiagnostics:
     which is the right level for post-resolution scenes and for configurations
     that deliberately contain components of several graph components.
     """
-    census = components(scene)
-    per_curve: Dict[str, int] = {c.id: 0 for c in scene.curves}
-    for comp in census.components:
-        per_curve[comp.curve] += 1
-    for c in scene.curves:
-        if c.expected_components is not None and per_curve[c.id] != c.expected_components:
-            raise InvalidScene(
-                f"curve {c.id!r} has {per_curve[c.id]} components, "
-                f"expected {c.expected_components}"
-            )
-
     ix = scene._index
+    per_curve: Dict[str, int] = dict.fromkeys(ix.curves, 0)
+    for comp in components(scene).components:
+        per_curve[comp.curve] += 1
+
     faces = _faces(ix)
     v, e, f = len(ix.vid), len(ix.eid), len(faces)
     chi = v - e + f
@@ -722,13 +711,12 @@ def resolve(
         first += (t, u)
         fresh += 2
 
-    new_curves = [c for c in scene.curves if c.id not in pair]
-    new_curves.append(Curve(merged, None))
     out = _Index(
         nxt, deg, ix.hid, ix.eid, [merged if c in pair else c for c in curve], ix.marker,
-        ix.by_hid, ix.by_eid, (ix.curves - pair) | {merged}, vid, first, ix.marked,
+        ix.by_hid, ix.by_eid, (*(c for c in ix.curves if c not in pair), merged), vid, first,
+        ix.marked,
     )
-    return _indexed(f"resolve({scene.name},{from_curve}->{to_curve})", new_curves, out)
+    return _indexed(f"resolve({scene.name},{from_curve}->{to_curve})", out)
 
 
 def _fresh_curve_id(ix: _Index, base: str) -> str:
@@ -848,13 +836,8 @@ def parallel_copies(scene: Scene, curve_id: str, n: int) -> Scene:
     vid += range(max(ix.vid) + 1, max(ix.vid) + 1 + len(cycles) - len(vid))
     eid += range(max(ix.eid) + 1, max(ix.eid) + 1 + len(halves) - len(eid))
 
-    curves = [
-        c if c.id != curve_id or c.expected_components is None
-        else Curve(c.id, c.expected_components * n)
-        for c in scene.curves
-    ]
     name = f"copies({scene.name},{curve_id}x{n})"
-    return _checked_scene(name, vid, cycles, eid, halves, curve, marker, curves=curves)
+    return _checked_scene(name, vid, cycles, eid, halves, curve, marker, ix.curves)
 
 
 # ======================================================================

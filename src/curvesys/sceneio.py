@@ -16,8 +16,8 @@ the tables as columns to the scene's checked constructor (only outside
 callers pass records, to ``Scene(...)``), so a file that is not a valid
 rotation system raises its SceneError at load (the command line exits 2); the
 writer reads the index's columns with the reader that builds records, and
-neither builds one.  load(save(s)) has records equal to s's, ids verbatim;
-expected component counts are not serialized.
+neither builds one.  load(save(s)) has records and curves equal to s's, ids
+verbatim.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any, Dict, Union
 
 from .errors import InvalidScene
-from .scene import Curve, Scene, _checked_scene, _columns
+from .scene import Scene, _checked_scene, _columns
 
 __all__ = ["scene_to_dict", "scene_from_dict", "save_scene", "load_scene"]
 
@@ -44,7 +44,7 @@ def scene_to_dict(scene: Scene) -> Dict[str, Any]:
         "name": scene.name,
         "vertices": [{"id": v, "halfedges_ccw": [*c]} for v, c in zip(vid, cycles)],
         "edges": edges,
-        "curves": [{"id": c.id} for c in scene.curves],
+        "curves": [{"id": c} for c in scene.curves],
     }
 
 
@@ -64,13 +64,13 @@ def scene_from_dict(data: Dict[str, Any]) -> Scene:
         halves = [e["half"] for e in es]
         curve = [e["curve"] for e in es]
         marker = [e.get("marker") for e in es]
-        curves = [Curve(c["id"]) for c in cs]
+        curves = [c["id"] for c in cs]
         name = data.get("name", "scene")
         if type(name) is not str:
             raise ValueError(f"the scene name must be a string, got {name!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidScene(f"malformed scene file: {exc}") from exc
-    return _checked_scene(name, vid, cycles, eid, halves, curve, marker, curves=curves)
+    return _checked_scene(name, vid, cycles, eid, halves, curve, marker, curves)
 
 
 def save_scene(scene: Scene, path: Union[str, Path]) -> None:

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from curvesys import grids
 from curvesys.errors import CurveSysError, InvalidScene, NonCellular, ParallelSlopes
 from curvesys.grids import torus_grid_scene, torus_lines_scene
-from curvesys.scene import Curve, Edge, Scene, Vertex, validate
+from curvesys.scene import Edge, Scene, Vertex, validate
 from curvesys.sceneio import scene_to_dict
 
 Vec = Tuple[int, int]
@@ -181,7 +181,7 @@ def _build(
         if vid >= len(vertex_id_of):
             vertices.append(Vertex(vid, tuple(vertex_halves[vid])))
 
-    curves = [Curve(cid, gcd(abs(x), abs(y))) for cid, (x, y) in families]
+    curves = [cid for cid, _ in families]
     return Scene(name=name, vertices=vertices, edges=edges, curves=curves)
 
 

@@ -7,6 +7,7 @@ import multiprocessing
 import subprocess
 import sys
 import types
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,20 @@ def test_report_structure_and_determinism():
     for suite in report_to_dict(r1)["suites"]:
         assert set(suite) == {"suite", "params", "cases", "failures", "millis"}
     assert _without_millis(r1) == _without_millis(r2)
+
+
+GOLDEN_REPORTS = Path(__file__).resolve().parent / "data" / "reports"
+
+
+def test_default_report_matches_the_golden_file(monkeypatch):
+    """The default ``curvesys verify`` report, ``millis`` apart, is the one
+    that ``tools/golden_reports.py`` wrote, laid out as that script does."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)  # in this process
+    doc = report_to_dict(run_all())
+    for suite in doc["suites"]:
+        suite.pop("millis")
+    golden = (GOLDEN_REPORTS / "default.json").read_text(encoding="utf-8")
+    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == golden
 
 
 # On 8 CPUs the five other suites leave three to resolution_oracle, whose
@@ -439,7 +454,12 @@ def _bad_trivial_components(scene):
 _PINNED_ORACLE_FAILURES = (
     3537,
     {
-        "grid-cellular-torus": (26, {"p": 2, "q": 1, "r": 2, "s": 2}, "(0, 2)", "(0, 1)"),
+        "grid-cellular-torus": (
+            26,
+            {"p": 2, "q": 1, "r": 2, "s": 2},
+            "(0, 2, {'a': 1, 'b': 2})",
+            "(0, 1, {'a': 1, 'b': 2})",
+        ),
         "crossing-count": (234, {"p": 2, "q": 1, "r": 2, "s": 2}, "3", "2"),
         "no-trivial-components": (
             882,
@@ -457,7 +477,10 @@ _PINNED_ORACLE_FAILURES = (
             1, {"scene": "trivial-component-control"}, "['c', 'x']", "['c']"
         ),
         "genus2-pair-shape": (
-            1, {"scene": "genus2-filling-pair"}, "(-2, 3, (8, 8))", "(-2, 2, (8, 8))"
+            1,
+            {"scene": "genus2-filling-pair"},
+            "(-2, 3, (8, 8), {'a': 1, 'b': 1})",
+            "(-2, 2, (8, 8), {'a': 1, 'b': 1})",
         ),
     },
 )
@@ -473,6 +496,37 @@ def test_faulted_scene_functions_fail_the_pinned_oracle_clauses(monkeypatch):
     assert _clause_summary([report]) == {"resolution_oracle": _PINNED_ORACLE_FAILURES}
     routed = next(f for f in report.failures if f.clause == "no-trivial-components")
     assert list(routed.inputs) == ["p", "q", "r", "s", "from", "to"]
+
+
+def _one_component_validate(scene, require_cellular=True):
+    """The true diagnostics, except that every curve reports one component."""
+    diag = scenes.validate(scene, require_cellular)
+    ones = dict.fromkeys(diag.components_per_curve, 1)
+    return dataclasses.replace(diag, components_per_curve=ones)
+
+
+def test_a_wrong_line_count_is_a_recorded_failure(monkeypatch, capsys):
+    """A grid whose curves report one component each fails
+    grid-cellular-torus exactly when one of its vectors is not primitive,
+    and verify exits 1: a wrong count is a failed identity, not an error."""
+    monkeypatch.setattr(harness, "validate", _one_component_validate)
+    report = suite_resolution_oracle(2)
+    non_primitive = [
+        {"p": p, "q": q, "r": r, "s": s}
+        for p, q, r, s, deep in harness._oracle_cases(2)
+        if deep and max(gcd(p, q), gcd(r, s)) > 1
+    ]
+    assert {f.clause for f in report.failures} == {"grid-cellular-torus"}
+    assert [f.inputs for f in report.failures] == non_primitive
+    first = report.failures[0]
+    assert (len(non_primitive), first.inputs, first.lhs, first.rhs) == (
+        34,
+        {"p": 2, "q": 1, "r": 2, "s": 2},
+        "(0, 1, {'a': 1, 'b': 1})",
+        "(0, 1, {'a': 1, 'b': 2})",
+    )
+    assert main(["verify", "--suite", "resolution_oracle", "--bound", "2"]) == 1
+    assert capsys.readouterr().out.endswith("total: 34 failure(s)\n")
 
 
 def _bad_twist_multiply(x, k):

@@ -24,6 +24,7 @@ from curvesys.scene import Edge, Vertex, scenes_isomorphic, validate
     [
         torus_grid_scene(1, 0, 0, 1),
         torus_grid_scene(3, -2, 1, 4),
+        torus_grid_scene(2, 0, 0, 3),
         genus2_filling_pair(),
         bigon_scene(),
         trivial_component_scene(),
@@ -36,7 +37,8 @@ def test_round_trip(tmp_path, scene):
     back = load_scene(path)
     assert scene_to_dict(back) == scene_to_dict(scene)
     assert scenes_isomorphic(scene, back)
-    validate(back, require_cellular=False)
+    assert back.curves == scene.curves
+    assert validate(back, require_cellular=False) == validate(scene, require_cellular=False)
 
 
 def test_field_names_fixed(tmp_path):
