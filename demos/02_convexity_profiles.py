@@ -11,12 +11,12 @@ a, b, g = normalize(1, 0), normalize(0, 1), normalize(1, 2)
 
 profile = convexity_profile(a, b, g, -6, 6)
 print("n:     ", list(range(-6, 7)))
-print("f(n):  ", list(profile.values))
+print("f(n):  ", list(profile))
 
 # A crude terminal plot.
-peak = max(profile.values)
+peak = max(profile)
 for height in range(peak, 0, -2):
-    row = "".join(" #"[v >= height] * 3 for v in profile.values)
+    row = "".join(" #"[v >= height] * 3 for v in profile)
     print(f"{height:3d} |{row}")
 print("     " + "".join(f"{n:3d}" for n in range(-6, 7)))
 
@@ -35,4 +35,4 @@ from curvesys import intersection  # noqa: E402
 print("twist orbit values:", [intersection(twisted[n], g) for n in range(-6, 7)])
 
 # Parallel a and b give affine profiles (also convex).
-print("parallel case:", convexity_profile(normalize(1, 1), normalize(1, 1), normalize(0, 1), 1, 5).values)
+print("parallel case:", convexity_profile(normalize(1, 1), normalize(1, 1), normalize(0, 1), 1, 5))

@@ -12,7 +12,6 @@ The package has four layers:
 """
 
 from .torus import (
-    ConvexityProfile,
     TorusClass,
     convexity_profile,
     dehn_twist,
@@ -49,7 +48,6 @@ from .sceneio import load_scene, save_scene, scene_from_dict, scene_to_dict
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvexityProfile",
     "TorusClass",
     "convexity_profile",
     "dehn_twist",

@@ -74,8 +74,18 @@ def _parse_ints(text: str) -> Tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument that begins with '-' and a digit (-1,0, -2..2,
+    -1,0,0) as a value, not a flag: no option of this tool looks like that."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[1:2].isdigit():
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="curvesys", description=__doc__.split("\n")[0])
+    parser = _Parser(prog="curvesys", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_torus = sub.add_parser("torus", help="torus class arithmetic")
@@ -138,12 +148,12 @@ def _cmd_torus(args: argparse.Namespace) -> int:
         print(dehn_twist(normalize(*args.along), normalize(*args.on), direction))
     else:  # profile
         lo, hi = args.n_range
-        profile = convexity_profile(
+        values = convexity_profile(
             normalize(*args.alpha), normalize(*args.beta), normalize(*args.gamma), lo, hi
         )
         print("n,value")
-        for n in range(lo, hi + 1):
-            print(f"{n},{profile.value_at(n)}")
+        for n, value in zip(range(lo, hi + 1), values):
+            print(f"{n},{value}")
     return 0
 
 

@@ -24,14 +24,6 @@ class NotSimpleLoop(CurveSysError, ValueError):
     """Dehn twists are only defined along primitive (single-loop) classes."""
 
 
-class InvalidProfile(CurveSysError, ValueError):
-    """Convexity profile values that do not fit the range, are negative or are not convex."""
-
-
-class OutsideProfile(CurveSysError, IndexError):
-    """A convexity profile was read at an n outside its range, or at a non-integer n."""
-
-
 # ---- scene engine ----
 
 class SceneError(CurveSysError):

@@ -70,6 +70,7 @@ from .scene import (
 from .torus import (
     TorusClass,
     _check_range,
+    convexity_profile,
     dehn_twist,
     enumerate_classes,
     enumerate_primitive_classes,
@@ -310,11 +311,9 @@ def suite_convexity(bound: int = 3, n_min: int = -6, n_max: int = 6) -> SuiteRep
                             values[i - 1] + values[i + 1],
                             a=a, b=b, g=g, n=ns[i],
                         )
-    # Frozen spot profile: a=(1,0), b=(0,1), g=(1,2) on -2..2.
-    spot = [
-        intersection(signed_power_multiply(normalize(1, 0), n, normalize(0, 1)), normalize(1, 2))
-        for n in range(-2, 3)
-    ]
+    # Frozen spot profile: a=(1,0), b=(0,1), g=(1,2) on -2..2, read through
+    # convexity_profile, the path `curvesys torus profile` prints.
+    spot = list(convexity_profile(normalize(1, 0), normalize(0, 1), normalize(1, 2), -2, 2))
     rep.cases += 1
     if spot != [5, 3, 1, 1, 3]:
         rep.fail(

@@ -494,9 +494,15 @@ def _face(ix: _Index, cycle: Cycle) -> Face:
 
 
 def _faces_on(ix: _Index, degree: int, curves: Set[str]) -> List[Cycle]:
-    """The faces of the given degree whose sides lie on exactly these curves."""
-    curve = ix.curve
-    return [f for f in _faces(ix) if len(f) == degree and {curve[p >> 1] for p in f} == curves]
+    """The faces with this many crossing corners, those at 4-valent vertices,
+    whose sides lie on exactly these curves.  When every vertex is 4-valent a
+    face's corners are its darts."""
+    curve, deg = ix.curve, ix.deg
+    if 4 * len(ix.vid) == len(deg):
+        faces = [f for f in _faces(ix) if len(f) == degree]
+    else:
+        faces = [f for f in _faces(ix) if sum(deg[p] == 4 for p in f) == degree]
+    return [f for f in faces if {curve[p >> 1] for p in f} == curves]
 
 
 # ======================================================================
@@ -564,13 +570,12 @@ def trace_faces(scene: Scene) -> List[Face]:
 
 
 def find_bigons(scene: Scene, curve_a: str, curve_b: str) -> List[Face]:
-    """Degree-2 faces with one side on each of the two curves.
+    """Faces with exactly two crossing corners whose sides lie on the two curves.
 
-    An empty answer on a two-curve scene certifies that the curves cross
-    minimally within their isotopy classes.  Face degree counts half-edge
-    sides, so the certificate applies to scenes whose queried curves meet
-    only at crossings; a plain 2-valent vertex on a face boundary raises the
-    face's degree past 2 even if the face is a geometric bigon.
+    A crossing corner is a corner at a 4-valent vertex; the plain 2-valent
+    vertices that ``resolve`` leaves are not counted, so a returned face may
+    have more than two sides.  An empty answer certifies that the two curves
+    cross minimally within their isotopy classes, on resolved scenes too.
     """
     ix = _require(scene, curve_a, curve_b)
     return [_face(ix, f) for f in _faces_on(ix, 2, {curve_a, curve_b})]

@@ -23,14 +23,11 @@ from .errors import (
     InvalidChoice,
     InvalidClass,
     InvalidExponent,
-    InvalidProfile,
     NotSimpleLoop,
-    OutsideProfile,
 )
 
 __all__ = [
     "TorusClass",
-    "ConvexityProfile",
     "normalize",
     "intersection",
     "multiply",
@@ -155,44 +152,6 @@ def dehn_twist(a: TorusClass, b: TorusClass, direction: str = "positive") -> Tor
     return signed_power_multiply(a, k if direction == "positive" else -k, b)
 
 
-@dataclass(frozen=True)
-class ConvexityProfile:
-    """Values f(n) = I(a^n b, g) over a window of integers n.
-
-    Construction re-checks the midpoint convexity 2 f(i) <= f(i-1) + f(i+1);
-    a violation would mean a bug in the algebra, so it raises rather than
-    storing an inconsistent profile.
-    """
-
-    alpha: TorusClass
-    beta: TorusClass
-    gamma: TorusClass
-    n_min: int
-    n_max: int
-    values: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check_range(self.n_min, self.n_max)
-        if len(self.values) != self.n_max - self.n_min + 1:
-            raise InvalidProfile("values length does not match the range")
-        if any(type(v) is not int for v in self.values):
-            raise InvalidProfile(f"intersection numbers are integers: {self.values}")
-        if any(v < 0 for v in self.values):
-            raise InvalidProfile("intersection numbers are non-negative")
-        for i in range(1, len(self.values) - 1):
-            if 2 * self.values[i] > self.values[i - 1] + self.values[i + 1]:
-                raise InvalidProfile(
-                    f"profile not midpoint convex at n={self.n_min + i}: {self.values}"
-                )
-
-    def value_at(self, n: int) -> int:
-        if type(n) is not int:
-            raise OutsideProfile(f"n={n!r} is not an integer")
-        if not self.n_min <= n <= self.n_max:
-            raise OutsideProfile(f"n={n} outside {self.n_min}..{self.n_max}")
-        return self.values[n - self.n_min]
-
-
 def _check_range(n_min: int, n_max: int) -> None:
     if type(n_min) is not int or type(n_max) is not int:
         raise InvalidBound(f"non-integer range {n_min!r}..{n_max!r}")
@@ -202,13 +161,12 @@ def _check_range(n_min: int, n_max: int) -> None:
 
 def convexity_profile(
     a: TorusClass, b: TorusClass, g: TorusClass, n_min: int, n_max: int
-) -> ConvexityProfile:
-    """Profile of I(a^n b, g) for n in n_min..n_max."""
+) -> Tuple[int, ...]:
+    """The values I(a^n b, g) for n in n_min..n_max, in order of n."""
     _check_range(n_min, n_max)
-    values = tuple(
+    return tuple(
         intersection(signed_power_multiply(a, n, b), g) for n in range(n_min, n_max + 1)
     )
-    return ConvexityProfile(a, b, g, n_min, n_max, values)
 
 
 def enumerate_classes(bound: int) -> List[TorusClass]:

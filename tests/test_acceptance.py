@@ -46,8 +46,9 @@ def test_criterion_1_product_laws_exhaustive():
 def test_criterion_2_convexity_and_spot_profile():
     report = suite_convexity(3, -6, 6)
     assert report.ok, report.failures[:5]
-    prof = convexity_profile(normalize(1, 0), normalize(0, 1), normalize(1, 2), -2, 2)
-    assert prof.values == (5, 3, 1, 1, 3)
+    assert convexity_profile(normalize(1, 0), normalize(0, 1), normalize(1, 2), -2, 2) == (
+        5, 3, 1, 1, 3
+    )
     report_line(2, "convexity at bound 3, n in -6..6; spot profile (5,3,1,1,3)", report)
 
 

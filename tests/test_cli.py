@@ -100,10 +100,22 @@ def test_torus_synopsis_lines_run_as_written(capsys):
 
 
 def test_torus_negative_first_coordinates(capsys):
-    """The spellings README gives for a class whose first coordinate is
-    negative; classes are unoriented, so -1,0 gives what 1,0 gives."""
+    """A class whose first coordinate is negative is a value, written plainly,
+    after ``--`` or with an equals sign; classes are unoriented, so -1,0 gives
+    what 1,0 gives.  An unknown flag still exits 2."""
+    assert run(capsys, "torus", "mul", "-1,0", "0,1") == (0, "(1,1)\n")
+    assert run(capsys, "torus", "mul", "0,1", "-1,0") == (0, "(1,-1)\n")
     assert run(capsys, "torus", "mul", "--", "-1,0", "0,1") == (0, "(1,1)\n")
+    assert run(capsys, "torus", "twist", "--along", "-1,0", "--on", "0,1") == (0, "(1,1)\n")
     assert run(capsys, "torus", "twist", "--along=-1,0", "--on", "0,1") == (0, "(1,1)\n")
+    profile = ["torus", "profile", "--alpha", "-1,0", "--beta", "0,1", "--gamma", "1,2"]
+    csv = "n,value\n-2,5\n-1,3\n0,1\n1,1\n2,3\n"
+    assert run(capsys, *profile, "--range", "-2..2") == (0, csv)
+    assert run(capsys, *profile, "--range=-2..2") == (0, csv)
+    with pytest.raises(SystemExit) as info:
+        main(["torus", "mul", "-1,0", "0,1", "--bogus"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --bogus\n")
 
 
 def test_scene_validate(capsys, grid_file):
@@ -256,6 +268,9 @@ def test_dt_twist(capsys, g2_files):
     code, out = run(capsys, "dt", "twist", g2_files[0], "--k", "2,0,0")
     assert code == 0
     assert json.loads(out)["t"] == [5, 0, 1]
+    code, out = run(capsys, "dt", "twist", g2_files[0], "--k", "-1,0,0")
+    assert code == 0
+    assert json.loads(out)["t"] == [2, 0, 1]
     code = main(["dt", "twist", g2_files[0], "--k", "0,1,0"])
     assert code == 2  # twisting a missed curve
 

@@ -1,6 +1,7 @@
 """Verification harness: suite behavior, determinism, fault injection."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import multiprocessing
@@ -300,12 +301,21 @@ _PINNED_FAILURES = {
 }
 
 
+def _fault_profiles(monkeypatch, **faults):
+    """The spot-profile clause reads ``convexity_profile``, which calls the
+    torus module's names, not the harness's: run the library function with
+    the given names faulted in their place."""
+    profile = types.FunctionType(torus.convexity_profile.__code__, {**vars(torus), **faults})
+    monkeypatch.setattr(harness, "convexity_profile", profile)
+
+
 def _inject_faults(monkeypatch):
     # power-distribution and the two associativity witnesses call neither
     # intersection nor dehn_twist, so multiply is faulted too.
     monkeypatch.setattr(harness, "intersection", _bad_intersection)
     monkeypatch.setattr(harness, "dehn_twist", _bad_dehn_twist)
     monkeypatch.setattr(harness, "multiply", _bad_multiply)
+    _fault_profiles(monkeypatch, intersection=_bad_intersection)
 
 
 def _faulted_suites_in_process():
@@ -378,6 +388,7 @@ _PINNED_POWER_FAILURES = {
 
 def test_faulted_powers_fail_the_pinned_clauses(monkeypatch):
     monkeypatch.setattr(harness, "signed_power_multiply", _bad_signed_power_multiply)
+    _fault_profiles(monkeypatch, signed_power_multiply=_bad_signed_power_multiply)
     reports = [suite_product_laws(3), suite_convexity(3)]
     assert _clause_summary(reports) == _PINNED_POWER_FAILURES
 
@@ -496,6 +507,31 @@ def test_faulted_scene_functions_fail_the_pinned_oracle_clauses(monkeypatch):
     assert _clause_summary([report]) == {"resolution_oracle": _PINNED_ORACLE_FAILURES}
     routed = next(f for f in report.failures if f.clause == "no-trivial-components")
     assert list(routed.inputs) == ["p", "q", "r", "s", "from", "to"]
+
+
+# The mirrored-convention report at bound 3, millis removed: its sha256 as
+# ``_without_millis`` lays it out, and its clause summary.
+_MIRRORED_ORACLE_SHA256 = "e6bc902d42da01cc6bc76e4d4e3db561518e567cf35efe99f7fc49def56eb3c5"
+_MIRRORED_ORACLE_FAILURES = (
+    5355,
+    {
+        "census-matches-product": (
+            1520,
+            {"p": 3, "q": 2, "r": 3, "s": 3, "from": "a", "to": "b"},
+            "[('(0,1)', 1)]",
+            "1 x (6,5)",
+        ),
+    },
+)
+
+
+def test_mirrored_convention_report_is_unchanged():
+    """Every failure the flipped smoothing convention causes at bound 3, in
+    order, with its witness."""
+    report = suite_resolution_oracle(3, convention="before")
+    assert _clause_summary([report]) == {"resolution_oracle": _MIRRORED_ORACLE_FAILURES}
+    digest = hashlib.sha256(_without_millis([report]).encode()).hexdigest()
+    assert digest == _MIRRORED_ORACLE_SHA256
 
 
 def _one_component_validate(scene, require_cellular=True):

@@ -417,6 +417,34 @@ def test_resolve_matches_product_beside_a_third_family(vecs, order):
     assert census_classes(out, third) == census_classes(scene, third)
 
 
+def test_resolved_pair_is_minimal_exactly_when_bigon_free():
+    """On every pairwise-crossing triple of straight families within bound 2,
+    resolve a with b, then take a*b against c.  The pair crosses I(a*b, c)
+    times exactly when ``find_bigons`` finds none; then resolving it again
+    gives the iterated product, and otherwise ``resolve`` refuses it.  The
+    plain vertices left by the first resolve must not hide a bigon."""
+    classes = enumerate_classes(2)
+    minimal = refused = 0
+    for a, b, c in product(classes, repeat=3):
+        if not (intersection(a, b) and intersection(b, c) and intersection(a, c)):
+            continue
+        scene = torus_lines_scene([("a", (a.x, a.y)), ("b", (b.x, b.y)), ("c", (c.x, c.y))])
+        out = resolve(scene, "a", "b")
+        ab = multiply(a, b)
+        bigons = find_bigons(out, "a*b", "c")
+        assert (crossing_count(out, "a*b", "c") == intersection(ab, c)) == (bigons == [])
+        if bigons:
+            with pytest.raises(BigonPresent):
+                resolve(out, "a*b", "c")
+            refused += 1
+        else:
+            prod = multiply(ab, c)
+            again = resolve(out, "a*b", "c")
+            assert census_classes(again, "a*b*c") == {prod.primitive(): prod.multiplicity}
+            minimal += 1
+    assert (minimal, refused) == (540, 540)
+
+
 def test_resolve_refuses_bigons_and_unknown():
     with pytest.raises(BigonPresent):
         resolve(bigon_scene(), "a", "b")
@@ -1360,9 +1388,12 @@ def test_loader_rejects_non_string_curve_labels_first(scene):
 def resolve_outputs():
     """Every resolve output of ``suite_resolution_oracle(4)`` under both
     conventions, then each ordered pair of a three-family scene resolved
-    under both conventions and resolved again with the third family, disjoint
-    curves, and a colliding merged id that takes the ``_fresh_curve_id``
-    path, resolved again."""
+    under both conventions and, where the merged curve meets the third
+    family minimally (the ``before`` convention), resolved again with it,
+    disjoint curves, and a colliding merged id that takes the
+    ``_fresh_curve_id`` path.  Where the merged curve is the class of the
+    curve it is resolved with again, the two cross twice, not minimally, and
+    that resolve is refused."""
     import curvesys.harness as harness_module
 
     outputs = []
@@ -1382,11 +1413,16 @@ def resolve_outputs():
     for frm, to, third in (("a", "b", "c"), ("b", "c", "a"), ("c", "a", "b")):
         for convention in ("after", "before"):
             outputs.append(resolve(three, frm, to, convention=convention))
-            outputs.append(resolve(outputs[-1], f"{frm}*{to}", third, convention=convention))
+            if convention == "after":
+                with pytest.raises(BigonPresent):
+                    resolve(outputs[-1], f"{frm}*{to}", third, convention=convention)
+            else:
+                outputs.append(resolve(outputs[-1], f"{frm}*{to}", third, convention=convention))
     outputs.append(resolve(disjoint, "a", "c"))
     outputs.append(resolve(colliding, "a", "b"))
     assert "a*b2" in outputs[-1].curves  # the fresh-id path
-    outputs.append(resolve(outputs[-1], "a*b2", "a*b"))  # a derived index, derived again
+    with pytest.raises(BigonPresent):
+        resolve(outputs[-1], "a*b2", "a*b")
     return outputs
 
 
@@ -1397,7 +1433,7 @@ def test_resolve_derives_the_checked_index(resolve_outputs):
 
 # sha256 of the records of every scene in ``resolve_outputs`` as built eagerly
 # by resolve before records were built on first read; the two must agree.
-_RESOLVED_RECORDS_SHA256 = "e5f32c893ee546b57a83325d8a83da38d53b631a73c810f0a449cfbe83ac0ba6"
+_RESOLVED_RECORDS_SHA256 = "a515d807734f786ec849c7433063ef3db53ebea0568767e9eff4298d16cb90ae"
 
 
 def test_resolved_records_are_unchanged(resolve_outputs):

@@ -9,12 +9,9 @@ from curvesys.errors import (
     InvalidChoice,
     InvalidClass,
     InvalidExponent,
-    InvalidProfile,
     NotSimpleLoop,
-    OutsideProfile,
 )
 from curvesys.torus import (
-    ConvexityProfile,
     TorusClass,
     convexity_profile,
     dehn_twist,
@@ -303,54 +300,7 @@ def test_twists_along_crossing_loops_do_not_commute():
 )
 def test_profile_examples(a, b, g, n_min, n_max, values):
     prof = convexity_profile(normalize(*a), normalize(*b), normalize(*g), n_min, n_max)
-    assert prof.values == values
-
-
-def test_profile_type_rejects_nonconvex():
-    with pytest.raises(ValueError):
-        ConvexityProfile(
-            normalize(1, 0), normalize(0, 1), normalize(1, 2), 0, 2, (0, 5, 0)
-        )
-    with pytest.raises(ValueError):
-        ConvexityProfile(normalize(1, 0), normalize(0, 1), normalize(1, 2), 2, 0, ())
-
-
-@pytest.mark.parametrize(
-    "n_min,n_max,values,message",
-    [
-        (0, 2, (0, 5, 0), "profile not midpoint convex at n=1: (0, 5, 0)"),
-        (0, 2, (1, 1), "values length does not match the range"),
-        (0, 1, (1, -1), "intersection numbers are non-negative"),
-        (0, 1, (1.5, 2), "intersection numbers are integers: (1.5, 2)"),
-        (0, 1, (True, 2), "intersection numbers are integers: (True, 2)"),
-    ],
-)
-def test_profile_rejects_bad_values_as_invalid_profile(n_min, n_max, values, message):
-    a, b, g = normalize(1, 0), normalize(0, 1), normalize(1, 2)
-    with pytest.raises(InvalidProfile) as info:
-        ConvexityProfile(a, b, g, n_min, n_max, values)
-    assert isinstance(info.value, CurveSysError) and isinstance(info.value, ValueError)
-    assert str(info.value) == message
-
-
-@pytest.mark.parametrize(
-    "n,message",
-    [
-        (-3, "n=-3 outside -2..2"),
-        (3, "n=3 outside -2..2"),
-        (100, "n=100 outside -2..2"),
-        (0.5, "n=0.5 is not an integer"),
-        (True, "n=True is not an integer"),
-    ],
-    ids=["-3", "3", "100", "0.5", "True"],
-)
-def test_profile_value_at_outside_the_range(n, message):
-    prof = convexity_profile(normalize(1, 0), normalize(0, 1), normalize(1, 2), -2, 2)
-    assert [prof.value_at(k) for k in range(-2, 3)] == [5, 3, 1, 1, 3]
-    with pytest.raises(OutsideProfile) as info:
-        prof.value_at(n)
-    assert isinstance(info.value, CurveSysError) and isinstance(info.value, IndexError)
-    assert str(info.value) == message
+    assert prof == values
 
 
 @pytest.mark.parametrize(
@@ -367,15 +317,11 @@ def test_profile_rejects_a_bad_range_as_invalid_bound(n_min, n_max, message):
     with pytest.raises(InvalidBound) as info:
         convexity_profile(a, b, g, n_min, n_max)
     assert str(info.value) == message
-    with pytest.raises(InvalidBound) as info:
-        ConvexityProfile(a, b, g, n_min, n_max, (1, 1, 1))
-    assert str(info.value) == message
 
 
 @given(nonzero_vec, nonzero_vec, nonzero_vec)
 def test_profile_always_convex(u, v, w):
-    prof = convexity_profile(normalize(*u), normalize(*v), normalize(*w), -4, 4)
-    vals = prof.values
+    vals = convexity_profile(normalize(*u), normalize(*v), normalize(*w), -4, 4)
     for i in range(1, len(vals) - 1):
         assert 2 * vals[i] <= vals[i - 1] + vals[i + 1]
 
