@@ -121,8 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", action="append", choices=sorted(harness.SUITES))
     p_verify.add_argument("--bound", type=int, default=4)
     p_verify.add_argument("--range", type=_parse_range, default=(-6, 6), dest="n_range")
-    p_verify.add_argument("--gamma-bound", type=int, default=6)
-    p_verify.add_argument("--m-max", type=int, default=3)
     p_verify.add_argument(
         "--conv-bound",
         type=int,
@@ -160,7 +158,7 @@ def _cmd_torus(args: argparse.Namespace) -> int:
 def _cmd_scene(args: argparse.Namespace) -> int:
     scene = load_scene(args.file)
     if args.op == "validate":
-        diag = validate(scene, require_cellular=False)
+        diag = validate(scene)
         print(f"name: {scene.name}")
         print(f"V={diag.v} E={diag.e} F={diag.f} chi={diag.chi} genus={diag.genus}")
         print(f"connected: {diag.connected}  cellular: {diag.cellular}")
@@ -244,8 +242,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 bound=args.bound,
                 n_min=lo,
                 n_max=hi,
-                gamma_bound=args.gamma_bound,
-                m_max=args.m_max,
                 trials=args.trials,
                 seed=args.seed,
                 conv_bound=args.conv_bound,
@@ -293,6 +289,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -151,11 +151,3 @@ def write_corpus(root: Union[str, Path]) -> int:
         save_dt(d, x, root / "dt" / f"{name}.json")
     return len(grids) + len(curated) + len(dts)
 
-
-if __name__ == "__main__":  # pragma: no cover
-    # ``python -m curvesys.corpus OUTDIR`` is ``curvesys corpus OUTDIR``.
-    import sys
-
-    from .cli import main
-
-    raise SystemExit(main(["corpus", *sys.argv[1:]]))

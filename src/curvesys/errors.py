@@ -43,7 +43,7 @@ class NonAlternatingCrossing(SceneError):
 
 
 class NonCellular(SceneError):
-    """The scene does not encode the surface a question needs (not cellular, or no markers)."""
+    """A question needs homology markers that the scene does not carry."""
 
 
 class NonOrientableOrCorrupt(SceneError):

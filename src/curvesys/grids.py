@@ -79,7 +79,8 @@ def torus_lines_scene(
     before any geometry.  Parallel families simply do not cross.  All-parallel
     families, a single one included, are built (as blocks of larger scenes)
     but never cellular: two or more lines are disconnected, and one alone
-    encodes genus 0 while carrying markers, so ``validate`` raises NonCellular.
+    encodes genus 0 while carrying markers, so ``validate`` reports them not
+    ``cellular``.
     """
     if type(families) not in _SEQ:
         raise InvalidScene(f"curve families must be a list of (id, vector) pairs, got {families!r}")

@@ -30,13 +30,13 @@ first read, and the file writer both use it.  Faces, strand components and
 graph-component orbits are derived from the index at most once per scene and
 kept on it.
 
-Cellularity is stricter, and only ``validate`` demands it: the scene must be
-connected (one graph component, so not empty), and a scene carrying homology
-markers must encode genus 1, since markers declare a torus configuration.
-Resolving all crossings of a pair of curves usually leaves a disjoint union of
-circles, which no longer embeds cellularly; such scenes stay structurally
-valid and support the census, but ``validate`` flags them as ``NonCellular``
-unless asked not to, and only markers tell which circles bound a disk.
+Cellularity is stricter, and ``validate`` reports it without demanding it:
+the scene must be connected (one graph component, so not empty), and a scene
+carrying homology markers must encode genus 1, since markers declare a torus
+configuration.  Resolving all crossings of a pair of curves usually leaves a
+disjoint union of circles, which no longer embeds cellularly; such scenes stay
+structurally valid and support the census, ``validate`` reads them as not
+``cellular``, and only markers tell which circles bound a disk.
 """
 
 from __future__ import annotations
@@ -510,12 +510,13 @@ def _faces_on(ix: _Index, degree: int, curves: Set[str]) -> List[Cycle]:
 # ======================================================================
 
 
-def validate(scene: Scene, require_cellular: bool = True) -> SceneDiagnostics:
-    """Check scene invariants; raise a specific error on the first violation.
+def validate(scene: Scene) -> SceneDiagnostics:
+    """Check scene invariants and report the scene's shape.
 
-    With ``require_cellular=False`` only structural invariants are enforced,
-    which is the right level for post-resolution scenes and for configurations
-    that deliberately contain components of several graph components.
+    A structural fault raises its specific error; cellularity is reported, not
+    demanded: ``cellular`` is False on a disconnected scene, the empty scene
+    and post-resolution circles included, and on a connected scene whose
+    markers sit on a genus other than 1.
     """
     ix = scene._index
     per_curve: Dict[str, int] = dict.fromkeys(ix.curves, 0)
@@ -531,17 +532,6 @@ def validate(scene: Scene, require_cellular: bool = True) -> SceneDiagnostics:
         if chi % 2 != 0 or chi > 2:
             raise NonOrientableOrCorrupt(f"connected scene with chi = {chi}")
         genus = (2 - chi) // 2
-    cellular = connected and (genus == 1 if ix.marked else True)
-
-    if require_cellular and not cellular:
-        if not connected:
-            raise NonCellular(
-                f"scene {scene.name!r} is disconnected; complement regions "
-                "are not all disks"
-            )
-        raise NonCellular(
-            f"scene {scene.name!r} carries torus markers but encodes genus {genus}"
-        )
 
     return SceneDiagnostics(
         v=v,
@@ -550,7 +540,7 @@ def validate(scene: Scene, require_cellular: bool = True) -> SceneDiagnostics:
         chi=chi,
         genus=genus,
         connected=connected,
-        cellular=cellular,
+        cellular=connected and (genus == 1 or not ix.marked),
         face_degrees=tuple(sorted(len(face) for face in faces)),
         components_per_curve=per_curve,
     )

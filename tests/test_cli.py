@@ -198,7 +198,7 @@ def test_python_m_curvesys_corpus_is_the_corpus_command(tmp_path):
     (tmp_path / "file").write_text("")
     env = dict(os.environ, PYTHONPATH=str(Path(curvesys.__file__).parent.parent))
     done = subprocess.run(
-        [sys.executable, "-m", "curvesys.corpus", str(tmp_path / "file" / "out")],
+        [sys.executable, "-m", "curvesys", "corpus", str(tmp_path / "file" / "out")],
         capture_output=True, text=True, env=env,
     )
     assert done.returncode == 2
@@ -441,8 +441,7 @@ def _without_millis(path) -> str:
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
 def test_verify_report_matches_a_run_pinned_to_one_cpu(capsys, tmp_path):
-    argv = ["verify", "--bound", "2", "--range=-3..3", "--gamma-bound", "3", "--m-max", "2"]
-    argv += ["--trials", "60"]
+    argv = ["verify", "--bound", "2", "--range=-3..3", "--trials", "60"]
     assert main(argv + ["--out", str(tmp_path / "workers.json")]) == 0
     # The child pins only itself, to one CPU it may use, and so runs in-process.
     pinned = (

@@ -93,7 +93,7 @@ def _mutated(draw, files):
 def _load_scene_or_error(data):
     try:
         scene = scene_from_dict(data)
-        validate(scene, require_cellular=False)
+        validate(scene)
     except CurveSysError:
         pass
 
@@ -228,5 +228,5 @@ def test_unmutated_corpus_files_pass_every_command(path):
         dt_from_dict(data)
         _check_dt_cli(data, path)
     else:
-        validate(scene_from_dict(data), require_cellular=False)
+        validate(scene_from_dict(data))
         _check_scene_cli(data)

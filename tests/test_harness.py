@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from curvesys import dtcoords, harness, scene as scenes, torus
+from curvesys import corpus, dtcoords, grids, harness, scene as scenes, torus
 from curvesys.cli import main
 from curvesys.dtcoords import DTCoords
 from curvesys.errors import CountMismatch, InvalidBound, ParityViolation
@@ -33,7 +33,7 @@ from curvesys.torus import TorusClass
 
 
 def test_all_suites_pass_at_small_bounds():
-    reports = run_all(bound=2, n_min=-3, n_max=3, gamma_bound=3, m_max=2, trials=60)
+    reports = run_all(bound=2, n_min=-3, n_max=3, trials=60)
     assert [r.suite for r in reports] == list(SUITES)
     for r in reports:
         assert r.ok, (r.suite, r.failures[:3])
@@ -96,8 +96,8 @@ def _without_millis(reports) -> str:
 
 
 def test_report_structure_and_determinism():
-    r1 = run_all(bound=2, n_min=-2, n_max=2, gamma_bound=2, m_max=1, trials=30)
-    r2 = run_all(bound=2, n_min=-2, n_max=2, gamma_bound=2, m_max=1, trials=30)
+    r1 = run_all(bound=2, n_min=-2, n_max=2, trials=30)
+    r2 = run_all(bound=2, n_min=-2, n_max=2, trials=30)
     for suite in report_to_dict(r1)["suites"]:
         assert set(suite) == {"suite", "params", "cases", "failures", "millis"}
     assert _without_millis(r1) == _without_millis(r2)
@@ -123,7 +123,7 @@ def test_default_report_matches_the_golden_file(monkeypatch):
 def test_reports_are_the_same_for_every_worker_count(monkeypatch, cpus):
     def run(usable):
         monkeypatch.setattr(harness, "_usable_cpus", lambda: usable)
-        return run_all(bound=2, n_min=-2, n_max=2, gamma_bound=2, m_max=1, trials=30)
+        return run_all(bound=2, n_min=-2, n_max=2, trials=30)
 
     assert _without_millis(run(cpus)) == _without_millis(run(1))
     assert multiprocessing.active_children() == []
@@ -171,13 +171,13 @@ def test_passing_runs_format_no_witness(monkeypatch):
 
     monkeypatch.setattr(TorusClass, "__str__", counting_str)
     # In-process with the parameters run_all(bound=2, n_min=-3, n_max=3,
-    # gamma_bound=3, m_max=2, trials=60) passes them: a counter patched here
-    # would not see the calls run_all makes in worker processes.
+    # trials=60) passes them: a counter patched here would not see the calls
+    # run_all makes in worker processes.
     reports = [
         suite_product_laws(2),
         suite_convexity(2, -3, 3),
-        suite_twist_dynamics(2, 3),
-        suite_twist_bounds(2, 2),
+        suite_twist_dynamics(2),
+        suite_twist_bounds(2),
         suite_resolution_oracle(2),
         suite_twist_coords(60, 7),
     ]
@@ -397,14 +397,19 @@ def test_faulted_suites_report_the_same_through_run_all(monkeypatch):
     """Forked workers inherit the patched names; every failure, in order,
     comes back as the in-process call records it."""
     _inject_faults(monkeypatch)
-    in_process = _faulted_suites_in_process()
+    # The parameters run_all passes at bound 3: twist_dynamics takes its
+    # default gamma_bound of 6.
+    in_process = [
+        suite_product_laws(3),
+        suite_convexity(3),
+        suite_twist_dynamics(3),
+        suite_twist_bounds(3),
+    ]
     assert sum(len(r.failures) for r in in_process) > 0
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)  # workers on any host
     reports = run_all(
         bound=3,
         conv_bound=3,
-        gamma_bound=4,
-        m_max=3,
         suites=["product_laws", "convexity", "twist_dynamics", "twist_bounds"],
     )
 
@@ -424,10 +429,10 @@ def test_faulted_suites_report_the_same_through_run_all(monkeypatch):
 # ----------------------------------------------------------------------
 
 
-def _bad_validate(scene, require_cellular=True):
+def _bad_validate(scene):
     """The true diagnostics, except that the genus reads one higher when
     F = 2 mod 3, and an odd vertex count adds a face of degree 2."""
-    diag = scenes.validate(scene, require_cellular)
+    diag = scenes.validate(scene)
     genus = diag.genus + 1 if diag.f % 3 == 2 else diag.genus
     degrees = diag.face_degrees + (2,) if diag.v % 2 else diag.face_degrees
     return dataclasses.replace(diag, genus=genus, face_degrees=degrees)
@@ -534,9 +539,9 @@ def test_mirrored_convention_report_is_unchanged():
     assert digest == _MIRRORED_ORACLE_SHA256
 
 
-def _one_component_validate(scene, require_cellular=True):
+def _one_component_validate(scene):
     """The true diagnostics, except that every curve reports one component."""
-    diag = scenes.validate(scene, require_cellular)
+    diag = scenes.validate(scene)
     ones = dict.fromkeys(diag.components_per_curve, 1)
     return dataclasses.replace(diag, components_per_curve=ones)
 
@@ -563,6 +568,59 @@ def test_a_wrong_line_count_is_a_recorded_failure(monkeypatch, capsys):
     )
     assert main(["verify", "--suite", "resolution_oracle", "--bound", "2"]) == 1
     assert capsys.readouterr().out.endswith("total: 34 failure(s)\n")
+
+
+def _swap_first_grid(monkeypatch, build):
+    """torus_grid_scene, except that the first case of the bound-1 oracle
+    gets ``build(p, q, r, s)``."""
+    first = harness._oracle_cases(1)[0][:4]
+
+    def grid(*pqrs):
+        return build(*pqrs) if pqrs == first else grids.torus_grid_scene(*pqrs)
+
+    monkeypatch.setattr(harness, "torus_grid_scene", grid)
+    return dict(zip("pqrs", first))
+
+
+def test_a_non_cellular_grid_is_a_recorded_failure(monkeypatch):
+    """Two parallel lines in place of a grid: validate reports the scene
+    disconnected, and the oracle records it instead of raising."""
+    first = _swap_first_grid(
+        monkeypatch, lambda p, q, r, s: grids.torus_lines_scene([("a", (p, q)), ("b", (p, q))])
+    )
+    report = suite_resolution_oracle(1)
+    assert report.cases == 345  # as on the true grids
+    assert all(f.inputs.items() >= first.items() for f in report.failures)
+    # The first case is deep; its parameters come back in the sign sweep.
+    assert [f.clause for f in report.failures] == [
+        "grid-cellular-torus", "grid-all-quads", "crossing-count",
+        "census-matches-product", "census-matches-product",
+        "crossing-count", "census-matches-product", "census-matches-product",
+    ]
+    assert (report.failures[0].lhs, report.failures[0].rhs) == (
+        "(4, None, {'a': 1, 'b': 1})",
+        "(0, 1, {'a': 1, 'b': 1})",
+    )
+
+
+def test_a_grid_with_bigons_is_a_recorded_failure(monkeypatch):
+    """The bigon control in place of a grid: resolve refuses it, and the
+    oracle records each refusal as that resolution's census."""
+    first = _swap_first_grid(monkeypatch, lambda p, q, r, s: corpus.bigon_scene())
+    report = suite_resolution_oracle(1)
+    assert report.cases == 345  # as on the true grids
+    assert all(f.inputs.items() >= first.items() for f in report.failures)
+    assert [f.clause for f in report.failures] == [
+        "grid-all-quads", "crossing-count", "bigon-free",
+        "census-matches-product", "census-matches-product",
+        "crossing-count", "bigon-free", "census-matches-product", "census-matches-product",
+    ]
+    refusal = "BigonPresent: curves {!r}, {!r} bound a bigon; resolve needs minimal position"
+    refused = [(f.inputs["from"], f.lhs, f.rhs) for f in report.failures[3:5]]
+    assert refused == [
+        ("a", refusal.format("a", "b"), "1 x (2,1)"),
+        ("b", refusal.format("b", "a"), "1 x (0,1)"),
+    ]
 
 
 def _bad_twist_multiply(x, k):

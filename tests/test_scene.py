@@ -187,10 +187,8 @@ def test_validate_dangling_half_edge():
 
 
 def test_validate_single_essential_loop_not_cellular_on_torus():
-    scene = torus_lines_scene([("a", (1, 0))])
-    with pytest.raises(NonCellular):
-        validate(scene)
-    diag = validate(scene, require_cellular=False)
+    diag = validate(torus_lines_scene([("a", (1, 0))]))
+    assert not diag.cellular
     assert diag.connected and diag.genus == 0  # the rotation system is a sphere
 
 
@@ -229,15 +227,12 @@ def test_euler_genus_examples():
 
 
 def test_euler_genus_rejects_disconnected():
-    with pytest.raises(NonCellular):
-        validate(trivial_component_scene())
+    diag = validate(trivial_component_scene())
+    assert not diag.connected and diag.genus is None and not diag.cellular
 
 
 def test_empty_scene_is_not_cellular():
-    empty = Scene("e", [], [], [])
-    with pytest.raises(NonCellular):
-        validate(empty)
-    diag = validate(empty, require_cellular=False)
+    diag = validate(Scene("e", [], [], []))
     assert not diag.connected and diag.genus is None and not diag.cellular
 
 
@@ -287,8 +282,7 @@ def test_region_condition_implies_associativity_and_is_not_needed_for_it():
     for a, b, c in product(enumerate_classes(2), repeat=3):
         scene = torus_lines_scene([("c1", (a.x, a.y)), ("c2", (b.x, b.y)), ("c3", (c.x, c.y))])
         if intersection(a, b) == intersection(b, c) == intersection(a, c) == 0:
-            with pytest.raises(NonCellular):
-                validate(scene)
+            assert not validate(scene).cellular
             continue
         assert validate(scene).genus == 1
         holds = check_region_condition(scene, "c1", "c2", "c3")
@@ -389,16 +383,14 @@ def test_resolve_keeps_third_curve_crossings():
 
     Here the merged curve is parallel (as a class) to c, so the resolved
     configuration has an essential annulus in its complement: it is not
-    cellular on the torus, and the engine must refuse to report the
-    collapsed genus."""
+    cellular on the torus, and ``validate`` must not report it as cellular
+    on the collapsed genus."""
     scene = torus_lines_scene([("a", (1, 0)), ("b", (0, 1)), ("c", (1, 1))])
     out = resolve(scene, "a", "b")
     assert census_classes(out, "a*b") == {normalize(1, 1): 1}
     assert census_classes(out, "c") == {normalize(1, 1): 1}
     assert crossing_count(out, "a*b", "c") == 2
-    with pytest.raises(NonCellular):
-        validate(out)
-    validate(out, require_cellular=False)
+    assert not validate(out).cellular
 
 
 @settings(max_examples=100, deadline=None)
@@ -460,9 +452,8 @@ def test_resolve_refuses_one_curve():
 
 def test_resolved_scene_usually_not_cellular():
     resolved = resolve(torus_grid_scene(1, 0, 0, 1), "a", "b")
-    with pytest.raises(NonCellular):
-        validate(resolved)
-    diag = validate(resolved, require_cellular=False)
+    diag = validate(resolved)
+    assert not diag.cellular
     assert diag.v == 2 and diag.e == 2
 
 
@@ -520,7 +511,7 @@ def _markerless_circle_scenes():
 )
 def test_trivial_components_needs_markers(scene):
     components(scene)
-    validate(scene, require_cellular=False)
+    validate(scene)
     with pytest.raises(NonCellular, match="triviality needs markers"):
         trivial_components(scene)
 
@@ -608,7 +599,7 @@ def test_parallel_copies_across_two_curves():
 def test_parallel_copies_genus2_triples_crossings():
     base = genus2_filling_pair()
     out = parallel_copies(base, "a", 3)
-    validate(out, require_cellular=False)
+    validate(out)
     assert chi_genus(out) == (-2, 2)
     assert crossing_count(out, "a", "b") == 12
 
@@ -1100,7 +1091,6 @@ def _built(build):
 
 def _every_operation(scene):
     yield lambda: validate(scene)
-    yield lambda: validate(scene, require_cellular=False)
     yield lambda: trace_faces(scene)
     yield lambda: find_bigons(scene, "a", "b")
     yield lambda: find_bigons(scene, "a", "a")
@@ -1111,7 +1101,7 @@ def _every_operation(scene):
     yield lambda: corner_alternation_ok(scene, "a", "b")
     yield lambda: components(resolve(scene, "a", "b"))
     yield lambda: trivial_components(resolve(scene, "b", "a", convention="before"))
-    yield lambda: validate(parallel_copies(scene, "a", 2), require_cellular=False)
+    yield lambda: validate(parallel_copies(scene, "a", 2))
     yield lambda: scenes_isomorphic(scene, scene)
 
 
@@ -1464,7 +1454,7 @@ def test_resolved_records_are_built_only_when_read(monkeypatch):
     assert built == []  # no scene of the suite, resolve outputs and controls included, is read
     grid = torus_grid_scene(2, 1, -1, 2)
     out = resolve(grid, "a", "b")
-    components(out), trivial_components(out), validate(out, require_cellular=False)
+    components(out), trivial_components(out), validate(out)
     first = scene_to_dict(out)
     assert built == [] and scene_to_dict(out) == first and built == []
     vertices, edges = out.vertices, out.edges

@@ -38,7 +38,7 @@ def test_round_trip(tmp_path, scene):
     assert scene_to_dict(back) == scene_to_dict(scene)
     assert scenes_isomorphic(scene, back)
     assert back.curves == scene.curves
-    assert validate(back, require_cellular=False) == validate(scene, require_cellular=False)
+    assert validate(back) == validate(scene)
 
 
 def test_field_names_fixed(tmp_path):
